@@ -1,12 +1,15 @@
 // Paper Fig. 5: execution time of Algorithm 1 lines 3–11 (interpretation
 // + splitting + reduction) vs. number of examples, one series per data
-// set, with a constant number of signal types — run in BOTH execution
-// modes over the same chunked .ivc input:
+// set, with a constant number of signal types — run on BOTH paths over
+// the same chunked .ivc input:
 //
-//   batch      zone-map-pruned scan materializes K_b, then the staged
+//   batch      the whole-table path (what `ivt run` takes over a .ivt
+//              trace): a full scan materializes K_b, then the staged
 //              extract → split → reduce pipeline runs over it;
-//   streaming  the morsel executor fuses decode + preselect + interpret
-//              + split per chunk, never materializing K_b or K_s.
+//   streaming  the morsel executor (`ivt run` over a .ivc trace, under
+//              --exec batch and streaming alike) fuses decode +
+//              preselect + interpret + split per chunk, never
+//              materializing K_b or K_s.
 //
 // Protocol (matching paper Sec. 5.1 "Execution performance"): per data
 // set, the trace prefix is increased step-wise; all signal types of the
@@ -139,7 +142,7 @@ int main(int argc, char** argv) {
           bench::Stopwatch timer;
           const core::Pipeline::ReducedResult result =
               streaming
-                  ? pipeline.extract_and_reduce_streaming(engine, reader)
+                  ? pipeline.extract_and_reduce(engine, reader)
                   : pipeline.extract_and_reduce(
                         engine,
                         reader.scan(colstore::ScanPredicate{}, engine,

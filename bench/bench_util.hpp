@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #endif
 
 #include "obs/metrics.hpp"
+#include "support/json_escape.hpp"
 
 namespace ivt::bench {
 
@@ -195,25 +197,7 @@ class JsonRecord {
 
  private:
   static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out;
+    return support::json_escape(s);
   }
 
   std::vector<std::pair<std::string, std::string>> fields_;
@@ -256,12 +240,19 @@ inline JsonRecord& add_robustness_fields(JsonRecord& record,
 /// file to reset a trajectory.
 class JsonLinesEmitter {
  public:
+  /// Throws std::runtime_error naming the path when the file cannot be
+  /// opened (e.g. $IVT_BENCH_JSON_DIR does not exist) — a benchmark must
+  /// not run to completion while every row it measures is dropped.
   explicit JsonLinesEmitter(const std::string& bench_name)
       : path_(bench_json_dir() + "BENCH_" + bench_name + ".json"),
-        out_(path_, std::ios::app) {}
+        out_(path_, std::ios::app) {
+    if (!out_) {
+      throw std::runtime_error("cannot open benchmark output " + path_ +
+                               " for append");
+    }
+  }
 
   [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] bool ok() const { return out_.good(); }
 
   void emit(const JsonRecord& record) {
     out_ << record.to_line() << '\n';

@@ -95,14 +95,18 @@ commands:
   run          full preprocessing pipeline (Algorithm 1)
       --trace, --catalog, --signals, --workers   as in extract
       --exec batch|streaming|dist   execution mode (default batch).
-                              streaming fuses decode+preselect+interpret+
-                              split into one bounded-admission task per
-                              .ivc chunk — same output, bounded peak
-                              memory. dist runs the sharded coordinator/
-                              worker executor in-process over loopback
+                              Over a .ivc trace, batch and streaming are
+                              the same executor: decode+preselect+
+                              interpret+split fused into one
+                              bounded-admission task per chunk, with
+                              bounded peak memory. Over a .ivt trace,
+                              batch runs the staged whole-table pipeline.
+                              dist runs the sharded coordinator/worker
+                              executor in-process over loopback
                               (byte-identical output; see the coordinator
                               and worker commands for the multi-process
-                              form). Both require a columnar .ivc trace
+                              form). streaming and dist require a columnar
+                              .ivc trace
       --sim-nodes N           dist: simulated worker nodes (default 4)
       --sim-failure-rate P    dist: per-assignment probability a node dies
                               mid-range (seeded + deterministic; dead
@@ -338,23 +342,14 @@ errors::ErrorPolicy error_policy_arg(const Args& args) {
   return *policy;
 }
 
-/// K_b table from either container. Columnar traces decode straight into
-/// a partitioned table on the engine's workers (and populate the
-/// colstore.* metrics); row traces go through the in-memory Trace model.
-/// Under Skip/Quarantine, corrupt chunks / record-stream tails are dropped
+/// K_b table of a row-oriented .ivt trace, through the in-memory Trace
+/// model. Under Skip/Quarantine a corrupt record-stream tail is dropped
 /// and recorded in `failures` instead of aborting.
-dataflow::Table load_kb_table(const std::string& trace_path,
-                              dataflow::Engine& engine,
-                              errors::ErrorPolicy on_error =
-                                  errors::ErrorPolicy::Fail,
-                              errors::FailureLog* failures = nullptr) {
-  if (colstore::is_columnar_trace_file(trace_path)) {
-    const colstore::ColumnarReader reader(trace_path);
-    colstore::ScanOptions options;
-    options.on_error = on_error;
-    options.failures = failures;
-    return reader.scan({}, engine, options);
-  }
+dataflow::Table load_ivt_kb(const std::string& trace_path,
+                            dataflow::Engine& engine,
+                            errors::ErrorPolicy on_error =
+                                errors::ErrorPolicy::Fail,
+                            errors::FailureLog* failures = nullptr) {
   const tracefile::Trace trace =
       tracefile::load_trace_tolerant(trace_path, on_error, failures);
   return tracefile::to_kb_table(trace, engine.default_partitions());
@@ -680,7 +675,7 @@ int cmd_run(const Args& args) {
       // not result.failures — a recovered run is a clean run.
       result = dist::run_dist(catalog, config, reader, dist_config, engine);
     } else {
-      // The reader overload dispatches on config.exec_mode and already
+      // The morsel executor (--exec batch and streaming alike) already
       // folds scan-level losses (quarantined chunks) into
       // result.failures.
       result = pipeline.run(engine, reader);
@@ -694,7 +689,7 @@ int cmd_run(const Args& args) {
     }
     errors::FailureLog ingest_failures;
     const auto kb =
-        load_kb_table(trace_path, engine, config.on_error, &ingest_failures);
+        load_ivt_kb(trace_path, engine, config.on_error, &ingest_failures);
     result = pipeline.run(engine, kb);
 
     // Fold upstream ingest losses (truncated record streams) into the run
@@ -749,8 +744,12 @@ int cmd_mine(const Args& args) {
 
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, config);
+  // .ivc traces run through the morsel executor, .ivt traces through the
+  // whole-table path.
   const core::PipelineResult result =
-      pipeline.run(engine, load_kb_table(trace_path, engine));
+      colstore::is_columnar_trace_file(trace_path)
+          ? pipeline.run(engine, colstore::ColumnarReader(trace_path))
+          : pipeline.run(engine, load_ivt_kb(trace_path, engine));
   std::printf("%s\n", core::report_summary_line(result).c_str());
 
   // 1. Element anomalies.

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "colstore/columnar_reader.hpp"
 #include "errors/error.hpp"
 #include "faultfx/faultfx.hpp"
 #include "obs/obs.hpp"
@@ -11,23 +10,23 @@
 
 namespace ivt::colstore {
 
-ChunkCursor::ChunkCursor(const ColumnarReader& reader,
-                         const ScanPredicate& pred, ScanOptions options)
-    : reader_(&reader),
+ChunkCursor::ChunkCursor(ChunkSource source, const ScanPredicate& pred,
+                         ScanOptions options)
+    : source_(std::move(source)),
       options_(options),
-      compiled_(detail::compile_predicate(pred, reader.bus_names())),
+      compiled_(detail::compile_predicate(pred, footer().buses)),
       compressed_(options.mode == ScanMode::Compressed &&
-                  reader.version() >= 2) {
+                  footer().version >= 2) {
   if (compressed_ && !compiled_.never_matches) {
     // The run-constant conjuncts fold into one bitmap per file — every
     // chunk's key runs test against it, so pay the hash probes once here.
-    key_allowed_ = detail::compile_key_filter(compiled_, reader.key_dict());
+    key_allowed_ = detail::compile_key_filter(compiled_, footer().key_dict);
   }
-  const std::vector<ChunkInfo>& chunks = reader.chunks();
+  const std::vector<ChunkInfo>& chunks = footer().chunks;
   prune_stats_.chunks_total = chunks.size();
   if (!compiled_.never_matches) {
     const std::vector<std::uint16_t> bus_indices =
-        detail::prune_bus_indices(pred, reader.bus_names());
+        detail::prune_bus_indices(pred, footer().buses);
     for (std::size_t i = 0; i < chunks.size(); ++i) {
       if (chunk_may_match(chunks[i], pred, bus_indices)) {
         survivors_.push_back(i);
@@ -51,23 +50,30 @@ ChunkCursor::ChunkCursor(const ColumnarReader& reader,
 }
 
 std::size_t ChunkCursor::morsel_row_count(std::size_t k) const {
-  return reader_->chunk(survivors_[k]).row_count;
+  return footer().chunks[survivors_[k]].row_count;
 }
 
 dataflow::Partition ChunkCursor::decode_unchecked(
     std::size_t k, std::vector<EmittedRun>* runs) const {
   OBS_SPAN_V(chunk_span, "colstore.decode_chunk");
   FAULT_POINT("colstore.decode_chunk");
-  const ChunkInfo& info = reader_->chunk(survivors_[k]);
+  const Footer& file = footer();
+  const ChunkInfo& info = file.chunks[survivors_[k]];
   chunk_span.set_bytes(info.encoded_bytes);
   chunk_span.set_rows(info.row_count);
-  const std::vector<std::string>& buses = reader_->bus_names();
+  const ChunkExtent extent = source_.fetch(survivors_[k]);
+  if (extent.bytes.size != info.encoded_bytes) {
+    IVT_THROW(errors::Category::Decode,
+              "ivc: chunk extent is " + std::to_string(extent.bytes.size) +
+                  " bytes, the directory says " +
+                  std::to_string(info.encoded_bytes));
+  }
   dataflow::Partition out;
   if (compressed_) {
     ScanStats local;
-    out = detail::scan_chunk_compressed(reader_->buffer(), info, buses,
-                                        reader_->key_dict(), key_allowed_,
-                                        compiled_, local, runs);
+    out = detail::scan_chunk_compressed(extent.bytes, info.row_count,
+                                        file.buses, file.key_dict,
+                                        key_allowed_, compiled_, local, runs);
     runs_considered_.fetch_add(local.runs_considered,
                                std::memory_order_relaxed);
     runs_pruned_.fetch_add(local.runs_pruned, std::memory_order_relaxed);
@@ -75,10 +81,10 @@ dataflow::Partition ChunkCursor::decode_unchecked(
     OBS_COUNT("colstore.runs_pruned", local.runs_pruned);
     OBS_COUNT("colstore.runs_accepted", local.runs_accepted);
   } else {
-    const detail::DecodedChunk chunk = detail::decode_columns(
-        reader_->buffer(), info, reader_->version(), buses.size(),
-        reader_->key_dict());
-    out = detail::materialize_kb_partition(chunk, info.row_count, buses,
+    const detail::DecodedChunk chunk =
+        detail::decode_columns(extent.bytes, info.row_count, file.version,
+                               file.buses.size(), file.key_dict);
+    out = detail::materialize_kb_partition(chunk, info.row_count, file.buses,
                                            compiled_);
     OBS_COUNT("colstore.runs_decoded", 1);
   }
@@ -95,7 +101,7 @@ dataflow::Partition ChunkCursor::decode(std::size_t k,
                                         std::vector<EmittedRun>& runs) const {
   runs.clear();
   const std::size_t chunk_index = survivors_[k];
-  const ChunkInfo& info = reader_->chunk(chunk_index);
+  const ChunkInfo& info = footer().chunks[chunk_index];
   if (options_.on_error == errors::ErrorPolicy::Fail) {
     dataflow::Partition out;
     errors::with_context("decoding chunk " + std::to_string(chunk_index) +

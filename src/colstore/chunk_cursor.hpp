@@ -1,9 +1,11 @@
-// Morsel-level visitor API over a .ivc file, the streaming counterpart to
+// Morsel-level visitor over a .ivc file, the streaming counterpart to
 // the materializing ColumnarReader::scan.
 //
-// A cursor is created by ColumnarReader::cursor(pred, options): zone-map
-// pruning runs once up front, and each surviving chunk becomes one
-// *morsel* that the caller decodes on demand — typically as one fused
+// A cursor is built over a ChunkSource — a parsed Footer plus a fetch for
+// one chunk's encoded extent — so the same decode serves a whole-file
+// image (ColumnarReader::cursor / source) and ivt-serve's chunk cache.
+// Zone-map pruning runs once up front, and each surviving chunk becomes
+// one *morsel* that the caller decodes on demand — typically as one fused
 // pipeline task per morsel — instead of materializing the whole K_b table
 // before downstream stages start. decode(k) applies the same compiled
 // row filter and the same error policy (Fail / Skip / Quarantine with
@@ -19,12 +21,15 @@
 // mutable state on this class is the relaxed-atomic quarantine/row
 // counters below (no mutex, hence no IVT_GUARDED_BY contract to state),
 // and the FailureLog behind ScanOptions locks internally. Everything else
-// is written once in the constructor and read-only afterwards. The reader
-// must outlive the cursor.
+// is written once in the constructor and read-only afterwards. The
+// source's footer and fetch must outlive the cursor.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "colstore/chunk_decode.hpp"
@@ -33,10 +38,32 @@
 
 namespace ivt::colstore {
 
-class ColumnarReader;
+/// The encoded bytes of one chunk extent, [offset, offset + encoded_bytes)
+/// of the file. `bytes` points into memory that `owner` keeps alive; owner
+/// is null when the bytes belong to a file image that outlives the cursor.
+struct ChunkExtent {
+  ByteSpan bytes;
+  std::shared_ptr<const std::string> owner;
+};
+
+/// Where a cursor reads chunks from: the file's footer plus a fetch of one
+/// chunk's extent by directory index. A ColumnarReader views its file
+/// image in place; ivt-serve reads through its chunk cache. The fetch may
+/// be called concurrently for distinct chunks.
+struct ChunkSource {
+  const Footer* footer = nullptr;
+  std::function<ChunkExtent(std::size_t chunk)> fetch;
+};
 
 class ChunkCursor {
  public:
+  /// Prunes the footer's chunks against `pred` now; decode(k) fetches and
+  /// decodes one survivor on demand.
+  ChunkCursor(ChunkSource source, const ScanPredicate& pred,
+              ScanOptions options);
+
+  [[nodiscard]] const Footer& footer() const { return *source_.footer; }
+
   /// Surviving (non-pruned) chunks == morsels available to decode.
   [[nodiscard]] std::size_t num_morsels() const { return survivors_.size(); }
 
@@ -74,14 +101,10 @@ class ChunkCursor {
   [[nodiscard]] ScanStats stats() const;
 
  private:
-  friend class ColumnarReader;
-  ChunkCursor(const ColumnarReader& reader, const ScanPredicate& pred,
-              ScanOptions options);
-
   dataflow::Partition decode_unchecked(std::size_t k,
                                        std::vector<EmittedRun>* runs) const;
 
-  const ColumnarReader* reader_;
+  ChunkSource source_;
   ScanOptions options_;
   detail::CompiledPredicate compiled_;
   bool compressed_ = false;

@@ -66,17 +66,17 @@ struct DecodedChunk {
   ByteSpan payload;
 };
 
-/// Decode every column of one chunk. For version >= 2 the key_idx column
-/// is decoded too and cross-checked row-wise against the key dictionary
-/// and the bus/message-id columns (a disagreement is a typed decode
-/// error — it would make the compressed and decoded paths diverge).
-DecodedChunk decode_columns(const std::string& data, const ChunkInfo& info,
+/// Decode every column of one chunk extent holding `row_count` rows (per
+/// the directory). For version >= 2 the key_idx column is decoded too and
+/// cross-checked row-wise against the key dictionary and the
+/// bus/message-id columns (a disagreement is a typed decode error — it
+/// would make the compressed and decoded paths diverge).
+DecodedChunk decode_columns(ByteSpan extent, std::uint32_t row_count,
                             std::uint32_t version, std::size_t num_buses,
                             const std::vector<KeyDictEntry>& key_dict);
 
 /// Materialize decoded columns into a K_b-schema partition, applying the
-/// compiled row filter. Shared by ChunkCursor::decode (file-buffer path)
-/// and decode_chunk_from_bytes (cache path) so the two cannot drift.
+/// compiled row filter.
 dataflow::Partition materialize_kb_partition(
     const DecodedChunk& chunk, std::uint32_t row_count,
     const std::vector<std::string>& buses, const CompiledPredicate& compiled);
@@ -99,7 +99,7 @@ std::vector<std::uint8_t> compile_key_filter(
 /// (optional) receives the accepted runs in output-row coordinates for
 /// the dictionary join.
 dataflow::Partition scan_chunk_compressed(
-    const std::string& data, const ChunkInfo& info,
+    ByteSpan extent, std::uint32_t row_count,
     const std::vector<std::string>& buses,
     const std::vector<KeyDictEntry>& key_dict,
     const std::vector<std::uint8_t>& key_allowed,

@@ -17,7 +17,6 @@
 #include "colstore/chunk_decode.hpp"
 #include "colstore/encoding.hpp"
 #include "dataflow/engine.hpp"
-#include "dataflow/thread_pool.hpp"
 #include "errors/error.hpp"
 #include "faultfx/faultfx.hpp"
 #include "obs/obs.hpp"
@@ -193,10 +192,10 @@ void ColumnarReader::parse() {
     IVT_THROW(errors::Category::Format,
               "ivc: unsupported version " + std::to_string(version));
   }
-  version_ = version;
-  vehicle_ = get_short_string(header);
-  journey_ = get_short_string(header);
-  start_unix_ns_ = get_le<std::int64_t>(header);
+  footer_.version = version;
+  footer_.vehicle = get_short_string(header);
+  footer_.journey = get_short_string(header);
+  footer_.start_unix_ns = get_le<std::int64_t>(header);
 
   ByteCursor tail(ByteSpan{bytes + size - kTailBytes, kTailBytes});
   const std::uint64_t footer_offset = get_le<std::uint64_t>(tail);
@@ -212,11 +211,11 @@ void ColumnarReader::parse() {
       size - kTailBytes - static_cast<std::size_t>(footer_offset);
   ByteCursor footer(ByteSpan{bytes + footer_offset, footer_size});
   const std::uint16_t num_buses = get_le<std::uint16_t>(footer);
-  buses_.reserve(num_buses);
+  footer_.buses.reserve(num_buses);
   for (std::uint16_t i = 0; i < num_buses; ++i) {
-    buses_.push_back(get_short_string(footer));
+    footer_.buses.push_back(get_short_string(footer));
   }
-  if (version_ >= 2) {
+  if (footer_.version >= 2) {
     const std::uint32_t num_keys = get_le<std::uint32_t>(footer);
     // Each entry takes 10 footer bytes: an implausible count is a typed
     // format error, not a multi-gigabyte reserve.
@@ -224,7 +223,7 @@ void ColumnarReader::parse() {
       IVT_THROW(errors::Category::Format,
                 "ivc: key dictionary count out of range");
     }
-    key_dict_.reserve(num_keys);
+    footer_.key_dict.reserve(num_keys);
     for (std::uint32_t i = 0; i < num_keys; ++i) {
       KeyDictEntry key;
       key.bus_index = get_le<std::uint16_t>(footer);
@@ -233,7 +232,7 @@ void ColumnarReader::parse() {
         IVT_THROW(errors::Category::Format,
                   "ivc: key dictionary bus index out of range");
       }
-      key_dict_.push_back(key);
+      footer_.key_dict.push_back(key);
     }
   }
   const std::uint32_t num_chunks = get_le<std::uint32_t>(footer);
@@ -241,7 +240,7 @@ void ColumnarReader::parse() {
   if (num_chunks > footer.remaining() / 54) {
     IVT_THROW(errors::Category::Format, "ivc: chunk count out of range");
   }
-  chunks_.reserve(num_chunks);
+  footer_.chunks.reserve(num_chunks);
   for (std::uint32_t i = 0; i < num_chunks; ++i) {
     ChunkInfo info;
     info.offset = get_le<std::uint64_t>(footer);
@@ -267,26 +266,18 @@ void ColumnarReader::parse() {
       IVT_THROW(errors::Category::Format,
                 "ivc: chunk row count implausible for extent");
     }
-    chunks_.push_back(std::move(info));
+    footer_.chunks.push_back(std::move(info));
   }
-}
-
-std::size_t ColumnarReader::num_rows() const {
-  std::size_t rows = 0;
-  for (const ChunkInfo& c : chunks_) rows += c.row_count;
-  return rows;
 }
 
 namespace detail {
 
-DecodedChunk decode_columns(const std::string& data, const ChunkInfo& info,
+DecodedChunk decode_columns(ByteSpan extent, std::uint32_t row_count,
                             std::uint32_t version, std::size_t num_buses,
                             const std::vector<KeyDictEntry>& key_dict) {
-  ByteCursor in(ByteSpan{
-      reinterpret_cast<const std::uint8_t*>(data.data()) + info.offset,
-      static_cast<std::size_t>(info.encoded_bytes)});
+  ByteCursor in(extent);
   const std::uint32_t rows = get_le<std::uint32_t>(in);
-  if (rows != info.row_count) {
+  if (rows != row_count) {
     IVT_THROW(errors::Category::Decode, "ivc: chunk row count mismatch");
   }
   auto next_block = [&in]() {
@@ -370,59 +361,20 @@ dataflow::Partition materialize_kb_partition(
 
 }  // namespace detail
 
-dataflow::Partition scan_chunk_from_bytes(
-    const std::string& chunk_bytes, const ChunkInfo& info,
-    const ScanPredicate& pred, const std::vector<std::string>& buses,
-    std::uint32_t version, const std::vector<KeyDictEntry>& key_dict,
-    ScanMode mode, ScanStats* stats) {
-  if (chunk_bytes.size() != info.encoded_bytes) {
-    IVT_THROW(errors::Category::Decode,
-              "ivc: cached chunk byte count mismatch (" +
-                  std::to_string(chunk_bytes.size()) + " cached, " +
-                  std::to_string(info.encoded_bytes) + " in directory)");
-  }
-  // The directory entry describes the chunk at its position in the
-  // original file; the cached copy starts at offset 0.
-  ChunkInfo rebased = info;
-  rebased.offset = 0;
-  const detail::CompiledPredicate compiled =
-      detail::compile_predicate(pred, buses);
-  if (compiled.never_matches) {
-    return dataflow::Table::make_partition(tracefile::kb_schema());
-  }
-  if (mode == ScanMode::Compressed && version >= 2) {
-    ScanStats local;
-    dataflow::Partition out = detail::scan_chunk_compressed(
-        chunk_bytes, rebased, buses, key_dict,
-        detail::compile_key_filter(compiled, key_dict), compiled, local,
-        nullptr);
-    if (stats != nullptr) {
-      stats->runs_considered += local.runs_considered;
-      stats->runs_pruned += local.runs_pruned;
-      stats->runs_accepted += local.runs_accepted;
-    }
-    return out;
-  }
-  const detail::DecodedChunk chunk =
-      detail::decode_columns(chunk_bytes, rebased, version, buses.size(),
-                             key_dict);
-  return detail::materialize_kb_partition(chunk, info.row_count, buses,
-                                          compiled);
-}
-
-dataflow::Partition decode_chunk_from_bytes(
-    const std::string& chunk_bytes, const ChunkInfo& info,
-    const ScanPredicate& pred, const std::vector<std::string>& buses) {
-  // Legacy entry point without file context: treat as v1 (the key column
-  // of a v2 chunk is simply not read) and decode fully.
-  return scan_chunk_from_bytes(chunk_bytes, info, pred, buses,
-                               kColumnarFormatVersionV1, {},
-                               ScanMode::Decoded, nullptr);
+ChunkSource ColumnarReader::source() const {
+  return {&footer_, [this](std::size_t chunk) {
+            const ChunkInfo& info = footer_.chunks[chunk];
+            return ChunkExtent{
+                ByteSpan{reinterpret_cast<const std::uint8_t*>(data_.data()) +
+                             info.offset,
+                         static_cast<std::size_t>(info.encoded_bytes)},
+                nullptr};
+          }};
 }
 
 ChunkCursor ColumnarReader::cursor(const ScanPredicate& pred,
                                    ScanOptions options) const {
-  return ChunkCursor(*this, pred, options);
+  return ChunkCursor(source(), pred, options);
 }
 
 dataflow::Table ColumnarReader::scan_with_runner(const ScanPredicate& pred,
@@ -469,22 +421,6 @@ dataflow::Table ColumnarReader::scan(const ScanPredicate& pred,
 }
 
 dataflow::Table ColumnarReader::scan(const ScanPredicate& pred,
-                                     dataflow::ThreadPool& pool,
-                                     ScanStats* stats) const {
-  return scan_with_runner(
-      pred,
-      [&pool](std::size_t n,
-              const std::function<void(std::size_t)>& task) {
-        for (std::size_t i = 0; i < n; ++i) {
-          pool.submit([&task, i] { task(i); });
-        }
-        // The pool's exception barrier rethrows the first task failure.
-        pool.help_until_idle();
-      },
-      ScanOptions{}, stats);
-}
-
-dataflow::Table ColumnarReader::scan(const ScanPredicate& pred,
                                      dataflow::Engine& engine,
                                      ScanStats* stats) const {
   return scan(pred, engine, ScanOptions{}, stats);
@@ -519,19 +455,21 @@ dataflow::Table ColumnarReader::scan(const ScanPredicate& pred,
 
 tracefile::Trace ColumnarReader::read_trace() const {
   tracefile::Trace trace;
-  trace.vehicle = vehicle_;
-  trace.journey = journey_;
-  trace.start_unix_ns = start_unix_ns_;
+  trace.vehicle = footer_.vehicle;
+  trace.journey = footer_.journey;
+  trace.start_unix_ns = footer_.start_unix_ns;
   trace.records.reserve(num_rows());
-  for (const ChunkInfo& info : chunks_) {
-    const detail::DecodedChunk chunk =
-        detail::decode_columns(data_, info, version_, buses_.size(),
-                               key_dict_);
+  const ChunkSource image = source();
+  for (std::size_t i = 0; i < footer_.chunks.size(); ++i) {
+    const ChunkInfo& info = footer_.chunks[i];
+    const detail::DecodedChunk chunk = detail::decode_columns(
+        image.fetch(i).bytes, info.row_count, footer_.version,
+        footer_.buses.size(), footer_.key_dict);
     std::size_t payload_pos = 0;
     for (std::uint32_t r = 0; r < info.row_count; ++r) {
       tracefile::TraceRecord rec;
       rec.t_ns = chunk.t_ns[r];
-      rec.bus = buses_[static_cast<std::size_t>(chunk.bus_idx[r])];
+      rec.bus = footer_.buses[static_cast<std::size_t>(chunk.bus_idx[r])];
       rec.message_id = chunk.message_id[r];
       rec.protocol = static_cast<protocol::Protocol>(chunk.protocol[r]);
       rec.flags = static_cast<std::uint32_t>(chunk.flags[r]);

@@ -2,11 +2,11 @@
 //
 // The reader maps the whole file into memory once, parses the footer, and
 // serves scans: a ScanPredicate first prunes chunks via their zone maps,
-// then the surviving chunks are decoded — optionally in parallel on a
-// dataflow::ThreadPool or Engine — straight into a partitioned
-// dataflow::Table in K_b schema (one partition per surviving chunk, chunk
-// order preserved, so logical row order is deterministic and identical to
-// the row-oriented .ivt load path).
+// then the surviving chunks are decoded — optionally in parallel on an
+// Engine — straight into a partitioned dataflow::Table in K_b schema (one
+// partition per surviving chunk, chunk order preserved, so logical row
+// order is deterministic and identical to the row-oriented .ivt load
+// path).
 #pragma once
 
 #include <cstdint>
@@ -20,12 +20,12 @@
 
 namespace ivt::dataflow {
 class Engine;
-class ThreadPool;
 }  // namespace ivt::dataflow
 
 namespace ivt::colstore {
 
 class ChunkCursor;
+struct ChunkSource;
 
 class ColumnarReader {
  public:
@@ -37,30 +37,37 @@ class ColumnarReader {
   /// Index an in-memory image of a .ivc file (tests, network buffers).
   static ColumnarReader from_buffer(std::string data);
 
-  [[nodiscard]] const std::string& vehicle() const { return vehicle_; }
-  [[nodiscard]] const std::string& journey() const { return journey_; }
-  [[nodiscard]] std::int64_t start_unix_ns() const { return start_unix_ns_; }
+  /// Header identity, dictionaries and chunk directory of the file.
+  [[nodiscard]] const Footer& footer() const { return footer_; }
 
-  [[nodiscard]] std::size_t num_chunks() const { return chunks_.size(); }
+  [[nodiscard]] const std::string& vehicle() const { return footer_.vehicle; }
+  [[nodiscard]] const std::string& journey() const { return footer_.journey; }
+  [[nodiscard]] std::int64_t start_unix_ns() const {
+    return footer_.start_unix_ns;
+  }
+
+  [[nodiscard]] std::size_t num_chunks() const {
+    return footer_.chunks.size();
+  }
   [[nodiscard]] const ChunkInfo& chunk(std::size_t i) const {
-    return chunks_[i];
+    return footer_.chunks[i];
   }
   [[nodiscard]] const std::vector<ChunkInfo>& chunks() const {
-    return chunks_;
+    return footer_.chunks;
   }
   [[nodiscard]] const std::vector<std::string>& bus_names() const {
-    return buses_;
+    return footer_.buses;
   }
-  [[nodiscard]] std::size_t num_rows() const;
+  [[nodiscard]] std::size_t num_rows() const { return footer_.num_rows(); }
 
   /// Container format version of this file (1 or 2). Version 2 carries
   /// the join-key dictionary + key_idx column the compressed scan path
   /// evaluates on; under ScanMode::Compressed a v1 file falls back to the
   /// decoded path per chunk.
-  [[nodiscard]] std::uint32_t version() const { return version_; }
+  [[nodiscard]] std::uint32_t version() const { return footer_.version; }
   /// v2 join-key dictionary in first-appearance order (empty for v1).
   [[nodiscard]] const std::vector<KeyDictEntry>& key_dict() const {
-    return key_dict_;
+    return footer_.key_dict;
   }
 
   /// Zone-map-pruned scan into a K_b table, decoding sequentially.
@@ -72,11 +79,6 @@ class ColumnarReader {
   /// resyncs at the next chunk boundary — instead of aborting the scan.
   [[nodiscard]] dataflow::Table scan(const ScanPredicate& pred,
                                      const ScanOptions& options,
-                                     ScanStats* stats = nullptr) const;
-
-  /// Same, decoding surviving chunks in parallel on `pool`.
-  [[nodiscard]] dataflow::Table scan(const ScanPredicate& pred,
-                                     dataflow::ThreadPool& pool,
                                      ScanStats* stats = nullptr) const;
 
   /// Same, decoding on the engine's worker pool; records a
@@ -91,15 +93,16 @@ class ColumnarReader {
                                      const ScanOptions& options,
                                      ScanStats* stats = nullptr) const;
 
-  /// Morsel-level visitor over the file (streaming execution): zone-map
-  /// pruning runs now, each surviving chunk is decoded on demand via
-  /// ChunkCursor::decode. scan() is implemented on top of this. The
-  /// reader must outlive the returned cursor.
+  /// Morsel-level visitor over the file: zone-map pruning runs now, each
+  /// surviving chunk is decoded on demand via ChunkCursor::decode. scan()
+  /// is implemented on top of this. The reader must outlive the returned
+  /// cursor.
   [[nodiscard]] ChunkCursor cursor(const ScanPredicate& pred = {},
                                    ScanOptions options = {}) const;
 
-  /// Raw in-memory image of the file (used by ChunkCursor).
-  [[nodiscard]] const std::string& buffer() const { return data_; }
+  /// This file as a cursor source: the footer plus extents viewed in
+  /// place in the file image. The reader must outlive the source.
+  [[nodiscard]] ChunkSource source() const;
 
   /// Full materialization back into the in-memory trace model.
   [[nodiscard]] tracefile::Trace read_trace() const;
@@ -121,40 +124,8 @@ class ColumnarReader {
                                    ScanStats* stats) const;
 
   std::string data_;
-  std::string vehicle_;
-  std::string journey_;
-  std::int64_t start_unix_ns_ = 0;
-  std::uint32_t version_ = kColumnarFormatVersion;
-  std::vector<std::string> buses_;
-  std::vector<KeyDictEntry> key_dict_;
-  std::vector<ChunkInfo> chunks_;
+  Footer footer_;
 };
-
-/// Decode one chunk from a standalone copy of its encoded bytes — the
-/// decode-from-cached-bytes path used by the ivt-serve chunk cache, which
-/// stores the compressed extent [info.offset, info.offset +
-/// info.encoded_bytes) of the original file per chunk instead of keeping
-/// whole files resident. Rows matching `pred` come back as one
-/// K_b-schema partition, identical to what a scan of the same chunk under
-/// the same predicate would emit. Throws errors::Error(Decode) when the
-/// buffer length disagrees with the directory entry or the body is
-/// corrupt.
-dataflow::Partition decode_chunk_from_bytes(
-    const std::string& chunk_bytes, const ChunkInfo& info,
-    const ScanPredicate& pred, const std::vector<std::string>& buses);
-
-/// decode_chunk_from_bytes with the file context (format version + key
-/// dictionary) and scan mode threaded through: under
-/// ScanMode::Compressed a v2 chunk is evaluated run-level without
-/// decoding the join-key columns; otherwise this is the decoded path.
-/// `stats` (optional) accumulates the run counters. This is the entry
-/// point the ivt-serve chunk cache uses so tier-1 cache hits stop
-/// re-decoding per request.
-dataflow::Partition scan_chunk_from_bytes(
-    const std::string& chunk_bytes, const ChunkInfo& info,
-    const ScanPredicate& pred, const std::vector<std::string>& buses,
-    std::uint32_t version, const std::vector<KeyDictEntry>& key_dict,
-    ScanMode mode, ScanStats* stats);
 
 /// True when the file at `path` starts with the .ivc magic (cheap sniff
 /// used by the CLI to dispatch between .ivt and .ivc loaders).

@@ -69,17 +69,15 @@ std::vector<std::uint8_t> compile_key_filter(
 }
 
 dataflow::Partition scan_chunk_compressed(
-    const std::string& data, const ChunkInfo& info,
+    ByteSpan extent, std::uint32_t row_count,
     const std::vector<std::string>& buses,
     const std::vector<KeyDictEntry>& key_dict,
     const std::vector<std::uint8_t>& key_allowed,
     const CompiledPredicate& compiled, ScanStats& stats,
     std::vector<EmittedRun>* runs) {
-  ByteCursor in(ByteSpan{
-      reinterpret_cast<const std::uint8_t*>(data.data()) + info.offset,
-      static_cast<std::size_t>(info.encoded_bytes)});
+  ByteCursor in(extent);
   const std::uint32_t rows = get_le_u32(in);
-  if (rows != info.row_count) {
+  if (rows != row_count) {
     IVT_THROW(errors::Category::Decode, "ivc: chunk row count mismatch");
   }
   auto next_block = [&in]() {

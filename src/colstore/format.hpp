@@ -87,6 +87,28 @@ struct ChunkInfo {
   }
 };
 
+/// Everything a reader knows about a .ivc file without touching a chunk
+/// body: the header identity plus the parsed footer (bus and join-key
+/// dictionaries, chunk directory). ColumnarReader holds one next to the
+/// file image; the ivt-serve catalog holds only this and fetches chunk
+/// extents on demand.
+struct Footer {
+  std::string vehicle;
+  std::string journey;
+  std::int64_t start_unix_ns = 0;
+  std::uint32_t version = kColumnarFormatVersion;
+  std::vector<std::string> buses;
+  /// v2 join-key dictionary in first-appearance order (empty for v1).
+  std::vector<KeyDictEntry> key_dict;
+  std::vector<ChunkInfo> chunks;
+
+  [[nodiscard]] std::size_t num_rows() const {
+    std::size_t rows = 0;
+    for (const ChunkInfo& c : chunks) rows += c.row_count;
+    return rows;
+  }
+};
+
 /// Pushed-down scan filter. Every set member is a conjunct; an empty
 /// predicate matches all rows. `bus_message_pairs` refines the two
 /// independent sets to exact (b_id, m_id) combinations — the shape of the

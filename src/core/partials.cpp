@@ -1,13 +1,28 @@
 #include "core/partials.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "core/pipeline.hpp"
 #include "core/schemas.hpp"
+#include "obs/obs.hpp"
 #include "tracefile/trace.hpp"
 
 namespace ivt::core {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t elapsed_ns(Clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           since)
+          .count());
+}
+
+}  // namespace
 
 void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial) {
   for (KeySegment& seg : partial.segments) {
@@ -61,46 +76,68 @@ MorselProcessor::MorselProcessor(const colstore::ColumnarReader& reader,
                                  const dataflow::Table& urel,
                                  const PipelineConfig& config,
                                  errors::FailureLog* failures)
-    : cursor_([&] {
-        colstore::ScanOptions scan_options;
-        scan_options.on_error = config.on_error;
-        scan_options.failures = failures;
-        scan_options.mode = config.scan_mode;
-        return reader.cursor(urel_scan_predicate(urel), scan_options);
-      }()),
+    : MorselProcessor(reader.source(), urel_scan_predicate(urel), urel,
+                      config, failures) {}
+
+MorselProcessor::MorselProcessor(const colstore::ChunkSource& source,
+                                 const colstore::ScanPredicate& pred,
+                                 const dataflow::Table& urel,
+                                 const PipelineConfig& config,
+                                 errors::FailureLog* failures)
+    : cursor_(source, pred,
+              colstore::ScanOptions{.on_error = config.on_error,
+                                    .failures = failures,
+                                    .mode = config.scan_mode}),
       kernel_(urel, config.interpret) {
   if (cursor_.compressed()) {
-    key_table_ = kernel_.prepare_keys(reader.key_dict(), reader.bus_names());
+    key_table_ = kernel_.prepare_keys(cursor_.footer().key_dict,
+                                      cursor_.footer().buses);
   }
 }
 
-MorselPartial MorselProcessor::process(std::size_t k,
-                                       dataflow::Partition* keep_ks) const {
-  MorselPartial out;
-  out.morsel = k;
+dataflow::Partition MorselProcessor::extract(std::size_t k,
+                                             std::size_t* kpre_rows) const {
   // Decode + preselect: the cursor's compiled row filter IS the
   // preselection predicate; a quarantined chunk yields an empty partition
   // (and is already on the failure log).
+  auto start = Clock::now();
   std::vector<colstore::EmittedRun> runs;
-  const dataflow::Partition kpre_part = key_table_ != nullptr
-                                            ? cursor_.decode(k, runs)
-                                            : cursor_.decode(k);
-  out.kpre_rows = kpre_part.num_rows();
+  dataflow::Partition kpre_part;
+  {
+    OBS_SPAN_V(span, "pipeline.preselect");
+    kpre_part = key_table_ != nullptr ? cursor_.decode(k, runs)
+                                      : cursor_.decode(k);
+    span.set_rows(kpre_part.num_rows());
+  }
+  if (kpre_rows != nullptr) *kpre_rows = kpre_part.num_rows();
+  preselect_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
+
   // Interpret (Algorithm 1 lines 4–6), shared kernel. On the compressed
   // path the scan's accepted runs drive a dictionary join; otherwise the
   // row-wise broadcast probe.
-  const dataflow::Schema& ks_schema_ref = ks_schema();
-  dataflow::Partition ks_part = dataflow::Table::make_partition(ks_schema_ref);
+  start = Clock::now();
+  OBS_SPAN_V(span, "pipeline.interpret");
+  dataflow::Partition ks_part = dataflow::Table::make_partition(ks_schema());
   if (key_table_ != nullptr) {
     kernel_.interpret_runs(kpre_part, tracefile::kb_schema(), runs,
                            *key_table_, ks_part);
   } else {
     kernel_.interpret_partition(kpre_part, tracefile::kb_schema(), ks_part);
   }
+  span.set_rows(ks_part.num_rows());
+  interpret_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
+  return ks_part;
+}
+
+MorselPartial MorselProcessor::process(std::size_t k,
+                                       dataflow::Partition* keep_ks) const {
+  MorselPartial out;
+  out.morsel = k;
+  dataflow::Partition ks_part = extract(k, &out.kpre_rows);
   out.ks_rows = ks_part.num_rows();
   // Bucket (line 8 semantics).
-  PartitionSplit buckets = bucket_split_partition(ks_part, ks_schema_ref);
-  if (keep_ks != nullptr) *keep_ks = std::move(ks_part);
+  const auto start = Clock::now();
+  PartitionSplit buckets = bucket_split_partition(ks_part, ks_schema());
   out.segments.reserve(buckets.order.size());
   for (std::size_t i = 0; i < buckets.order.size(); ++i) {
     KeySegment seg;
@@ -109,7 +146,15 @@ MorselPartial MorselProcessor::process(std::size_t k,
     seg.data = std::move(buckets.buckets.at(seg.key));
     out.segments.push_back(std::move(seg));
   }
+  if (keep_ks != nullptr) *keep_ks = std::move(ks_part);
+  split_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   return out;
+}
+
+MorselTimes MorselProcessor::times() const {
+  return {preselect_ns_.load(std::memory_order_relaxed),
+          interpret_ns_.load(std::memory_order_relaxed),
+          split_ns_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace ivt::core

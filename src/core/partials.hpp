@@ -1,17 +1,18 @@
 // Morsel partials: the shared per-chunk unit of work and the order-stable
-// merge that both streaming and distributed execution are built from.
+// merge that every executor of Algorithm 1 lines 2–9 over .ivc data is
+// built from (in-process batch/streaming, dist, serve).
 //
-// PR 4's streaming mode established the contract: morsel k is the k-th
-// zone-map-surviving .ivc chunk in file order; fusing decode → preselect
-// → interpret → bucket per morsel and merging the per-key segments sorted
-// by (morsel, first-row) reconstructs exactly the batch split — so K_s,
-// K_rep and the state representation come out byte-identical. This header
-// extracts that machinery into value types that can also cross a process
-// boundary: a distributed worker runs MorselProcessor::process(k) for its
-// assigned chunk range, ships the resulting MorselPartials to the
-// coordinator, and the coordinator feeds them through the very same
-// merge_split_segments the in-process streaming path uses. Equivalence is
-// then shared by construction — there is exactly one merge.
+// The contract: morsel k is the k-th zone-map-surviving .ivc chunk in
+// file order; fusing decode → preselect → interpret → bucket per morsel
+// and merging the per-key segments sorted by (morsel, first-row)
+// reconstructs exactly the split of the whole-table path — so K_s, K_rep
+// and the state representation come out byte-identical. The units are
+// value types that can also cross a process boundary: a distributed
+// worker runs MorselProcessor::process(k) for its assigned chunk range,
+// ships the resulting MorselPartials to the coordinator, and the
+// coordinator feeds them through the very same merge_split_segments the
+// in-process executor uses. Equivalence is then shared by construction —
+// there is exactly one merge.
 //
 // Idempotence note for the distributed layer: a MorselPartial is a pure
 // function of (trace file, U_comb, config, k). Re-executing a morsel on a
@@ -20,7 +21,9 @@
 // a safe recovery policy.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -77,17 +80,35 @@ void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial);
 SplitDataResult merge_split_segments(KeyedSegments&& keyed,
                                      const SplitOptions& options);
 
+/// Wall time the morsels processed so far spent in each executor stage,
+/// summed over morsels (so on a parallel run it can exceed elapsed time).
+struct MorselTimes {
+  std::uint64_t preselect_ns = 0;  ///< chunk fetch + decode + row filter
+  std::uint64_t interpret_ns = 0;
+  std::uint64_t split_ns = 0;      ///< bucketing by (s_id, bus)
+};
+
 /// The fused decode → preselect → interpret → bucket stage for one
-/// morsel, shared by streaming tasks (in-process) and dist workers
-/// (remote). Construction compiles the pushdown predicate and the
-/// interpret kernel once; process(k) is safe to call concurrently for
-/// distinct k (the cursor's contract).
+/// morsel, shared by the in-process executor (Pipeline::run over a
+/// reader or chunk source), dist workers and ivt-serve. Construction
+/// compiles the pushdown predicate and the interpret kernel once;
+/// process(k) is safe to call concurrently for distinct k (the cursor's
+/// contract).
 class MorselProcessor {
  public:
-  /// The reader, urel and config must outlive the processor. Scan-level
-  /// failures (quarantined chunks under Skip/Quarantine) go to
-  /// `failures` when non-null.
+  /// U_comb pushed down over a whole .ivc file. The reader, urel and
+  /// config must outlive the processor. Scan-level failures (quarantined
+  /// chunks under Skip/Quarantine) go to `failures` when non-null.
   MorselProcessor(const colstore::ColumnarReader& reader,
+                  const dataflow::Table& urel, const PipelineConfig& config,
+                  errors::FailureLog* failures);
+
+  /// Same over any chunk source, with a caller-built scan predicate: it
+  /// must select no row outside U_comb (urel_scan_predicate(urel), maybe
+  /// narrowed further, e.g. to a time window). The source must outlive
+  /// the processor too.
+  MorselProcessor(const colstore::ChunkSource& source,
+                  const colstore::ScanPredicate& pred,
                   const dataflow::Table& urel, const PipelineConfig& config,
                   errors::FailureLog* failures);
 
@@ -100,9 +121,18 @@ class MorselProcessor {
   [[nodiscard]] MorselPartial process(
       std::size_t k, dataflow::Partition* keep_ks = nullptr) const;
 
+  /// Decode + preselect + interpret morsel k only (Algorithm 1 lines
+  /// 3–6): its K_s partition. `kpre_rows` (optional) receives the rows
+  /// that survived preselection.
+  [[nodiscard]] dataflow::Partition extract(
+      std::size_t k, std::size_t* kpre_rows = nullptr) const;
+
   /// Scan statistics so far (pruning fixed at construction; quarantine
   /// counters reflect the morsels processed so far).
   [[nodiscard]] colstore::ScanStats stats() const { return cursor_.stats(); }
+
+  /// Stage times of the morsels processed so far.
+  [[nodiscard]] MorselTimes times() const;
 
  private:
   colstore::ChunkCursor cursor_;
@@ -110,6 +140,9 @@ class MorselProcessor {
   /// Per-file dictionary join for the compressed path (null when the
   /// cursor decodes; see InterpretKernel::prepare_keys).
   std::shared_ptr<const InterpretKernel::KeyTable> key_table_;
+  mutable std::atomic<std::uint64_t> preselect_ns_{0};
+  mutable std::atomic<std::uint64_t> interpret_ns_{0};
+  mutable std::atomic<std::uint64_t> split_ns_{0};
 };
 
 }  // namespace ivt::core

@@ -1,15 +1,23 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <iterator>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
+#include "colstore/chunk_cursor.hpp"
 #include "core/schemas.hpp"
 #include "core/urel.hpp"
 #include "errors/error.hpp"
 #include "faultfx/faultfx.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "support/mutex.hpp"
+#include "support/thread_annotations.hpp"
 
 namespace ivt::core {
 
@@ -40,6 +48,90 @@ struct SubStageNs {
   std::atomic<std::uint64_t> classify{0};
   std::atomic<std::uint64_t> branch{0};
 };
+
+/// One split accumulator shard: appended to under its own mutex by morsel
+/// tasks, merged single-threaded afterwards (the merge still takes the —
+/// by then uncontended — lock so the access contract stays checkable).
+struct Shard {
+  support::Mutex mu{support::LockRank::k_core_Shard_mu};
+  KeyedSegments keys IVT_GUARDED_BY(mu);
+};
+
+/// Shard by s_id (the prefix of the bucket key up to the unit separator),
+/// so all channels of one signal land in the same accumulator.
+std::size_t shard_of(const std::string& key, std::size_t num_shards) {
+  const std::size_t cut = key.find('\x1F');
+  return std::hash<std::string_view>{}(
+             std::string_view(key).substr(0, cut)) %
+         num_shards;
+}
+
+/// What the morsel executor hands from lines 2–9 to lines 10–29.
+struct MorselRun {
+  SplitDataResult split;
+  std::size_t kpre_rows = 0;
+  std::size_t ks_rows = 0;
+  /// Interpreted K_s partitions in morsel order (only when keep_ks).
+  std::vector<dataflow::Partition> ks_parts;
+  std::uint64_t merge_ns = 0;
+};
+
+/// Algorithm 1 lines 2–9 over every morsel of `processor`: each morsel is
+/// decoded, preselected, interpreted and bucketed as one
+/// bounded-admission task (at most 2 × workers + 1 decoded morsels
+/// exist at once), its segments are appended to hash-sharded split
+/// accumulators, and the shards are drained through the shared
+/// order-stable merge (the same one the dist coordinator uses).
+MorselRun run_morsels(dataflow::Engine& engine,
+                      const MorselProcessor& processor,
+                      const SplitOptions& split_options, bool keep_ks) {
+  MorselRun out;
+  const std::size_t num_morsels = processor.num_morsels();
+  // Purely a contention knob: the merge is order-stable, so results do
+  // not depend on the shard count.
+  const std::size_t num_shards = std::clamp<std::size_t>(
+      4 * std::max<std::size_t>(1, engine.workers()), 1, 64);
+  std::vector<Shard> shards(num_shards);
+  if (keep_ks) out.ks_parts.resize(num_morsels);
+  std::atomic<std::size_t> kpre_rows{0};
+  std::atomic<std::size_t> ks_rows{0};
+
+  engine.parallel_for_bounded(num_morsels, 0, [&](std::size_t k) {
+    MorselPartial partial =
+        processor.process(k, keep_ks ? &out.ks_parts[k] : nullptr);
+    kpre_rows.fetch_add(partial.kpre_rows, std::memory_order_relaxed);
+    ks_rows.fetch_add(partial.ks_rows, std::memory_order_relaxed);
+    for (KeySegment& seg : partial.segments) {
+      Shard& shard = shards[shard_of(seg.key, num_shards)];
+      const support::MutexLock lock(shard.mu);
+      shard.keys[seg.key].push_back(
+          SplitSegment{k, seg.first_row, std::move(seg.data)});
+    }
+  });
+
+  const auto merge_start = std::chrono::steady_clock::now();
+  OBS_SPAN_V(span, "pipeline.split");
+  KeyedSegments keyed;
+  for (Shard& shard : shards) {
+    const support::MutexLock lock(shard.mu);
+    if (keyed.empty()) {
+      keyed = std::move(shard.keys);
+    } else {
+      for (auto& [key, segments] : shard.keys) {
+        auto& dst = keyed[key];
+        std::move(segments.begin(), segments.end(),
+                  std::back_inserter(dst));
+      }
+    }
+    shard.keys.clear();
+  }
+  out.split = merge_split_segments(std::move(keyed), split_options);
+  span.set_rows(out.split.sequences.size());
+  out.merge_ns = elapsed_ns(merge_start);
+  out.kpre_rows = kpre_rows.load(std::memory_order_relaxed);
+  out.ks_rows = ks_rows.load(std::memory_order_relaxed);
+  return out;
+}
 
 }  // namespace
 
@@ -108,21 +200,36 @@ dataflow::Table Pipeline::extract(dataflow::Engine& engine,
 Pipeline::ReducedResult Pipeline::extract_and_reduce(
     dataflow::Engine& engine, const dataflow::Table& kb) const {
   OBS_SPAN("pipeline.extract_and_reduce");
-  ReducedResult result;
   dataflow::Table ks = [&] {
     OBS_SPAN_V(span, "pipeline.interpret");
     dataflow::Table t = extract(engine, kb);
     span.set_rows(t.num_rows());
     return t;
   }();
-  result.ks_rows = ks.num_rows();
-
   SplitDataResult split = [&] {
     OBS_SPAN_V(span, "pipeline.split");
     return split_signals_data(engine, ks, config_.split);
   }();
-  result.correspondences = std::move(split.correspondences);
+  return reduce_all(engine, ks.num_rows(), std::move(split));
+}
 
+Pipeline::ReducedResult Pipeline::extract_and_reduce(
+    dataflow::Engine& engine, const colstore::ColumnarReader& reader) const {
+  OBS_SPAN("pipeline.extract_and_reduce");
+  const MorselProcessor processor(reader, urel_, config_, nullptr);
+  MorselRun run = run_morsels(engine, processor, config_.split, false);
+  ReducedResult result = reduce_all(engine, run.ks_rows, std::move(run.split));
+  OBS_GAUGE_SET("process.peak_rss_bytes",
+                static_cast<std::int64_t>(obs::peak_rss_bytes()));
+  return result;
+}
+
+Pipeline::ReducedResult Pipeline::reduce_all(dataflow::Engine& engine,
+                                             std::size_t ks_rows,
+                                             SplitDataResult split) const {
+  ReducedResult result;
+  result.ks_rows = ks_rows;
+  result.correspondences = std::move(split.correspondences);
   result.sequences.resize(split.sequences.size());
   engine.parallel_for(split.sequences.size(), [&](std::size_t i) {
     OBS_SPAN_V(span, "sequence.reduce");
@@ -348,9 +455,12 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
 PipelineResult Pipeline::run(dataflow::Engine& engine,
                              const colstore::ColumnarReader& reader,
                              colstore::ScanStats* stats) const {
-  if (config_.exec_mode == ExecMode::Streaming) {
-    return run_streaming(engine, reader, stats);
-  }
+  return run(engine, reader.source(), stats);
+}
+
+PipelineResult Pipeline::run(dataflow::Engine& engine,
+                             const colstore::ChunkSource& source,
+                             colstore::ScanStats* stats) const {
   if (config_.exec_mode == ExecMode::Dist) {
     // Dist is orchestrated above the core (coordinator + worker
     // processes); Pipeline::run cannot spawn them. The CLI intercepts
@@ -359,21 +469,45 @@ PipelineResult Pipeline::run(dataflow::Engine& engine,
               "dist execution is orchestrated by the CLI "
               "(ivt run --exec dist), not Pipeline::run");
   }
+  OBS_SPAN("pipeline.run");
+  OBS_COUNT("pipeline.runs", 1);
   errors::FailureLog scan_failures;
-  colstore::ScanOptions scan_options;
-  scan_options.on_error = config_.on_error;
-  scan_options.failures = &scan_failures;
-  scan_options.mode = config_.scan_mode;
-  colstore::ScanStats local;
-  const dataflow::Table kb = reader.scan({}, engine, scan_options, &local);
-  PipelineResult result = run(engine, kb);
+  const MorselProcessor processor(source, urel_scan_predicate(urel_), urel_,
+                                  config_, &scan_failures);
+  MorselRun run =
+      run_morsels(engine, processor, config_.split, config_.keep_ks);
+  const colstore::ScanStats scan = processor.stats();
+
+  PipelineResult result;
+  // K_b is never materialized; its row count is the file's total minus
+  // rows lost to quarantined chunks — what a full scan would emit.
+  result.kb_rows = source.footer->num_rows() - scan.rows_quarantined;
+  OBS_COUNT("pipeline.kb_rows", result.kb_rows);
+  result.kpre_rows = run.kpre_rows;
+  result.ks_rows = run.ks_rows;
+  OBS_COUNT("pipeline.ks_rows", result.ks_rows);
+  const MorselTimes times = processor.times();
+  record_stage_time(result.stage_times, "preselect", times.preselect_ns);
+  record_stage_time(result.stage_times, "interpret", times.interpret_ns);
+  record_stage_time(result.stage_times, "split",
+                    times.split_ns + run.merge_ns);
+
+  if (config_.keep_ks) {
+    result.ks = dataflow::Table(ks_schema());
+    for (dataflow::Partition& p : run.ks_parts) {
+      if (p.num_rows() == 0) continue;
+      result.ks.add_partition(std::move(p));
+    }
+  }
+
   // Scan-level losses come first in the report, matching the order events
   // actually happened.
-  std::vector<errors::FailureRecord> all = scan_failures.records();
-  all.insert(all.end(), std::make_move_iterator(result.failures.begin()),
-             std::make_move_iterator(result.failures.end()));
-  result.failures = std::move(all);
-  if (stats != nullptr) *stats = local;
+  result.failures = scan_failures.records();
+  process_and_merge(engine, std::move(run.split), result);
+
+  OBS_GAUGE_SET("process.peak_rss_bytes",
+                static_cast<std::int64_t>(obs::peak_rss_bytes()));
+  if (stats != nullptr) *stats = scan;
   return result;
 }
 
@@ -388,9 +522,11 @@ PipelineResult Pipeline::merge_morsel_partials(
   result.ks_rows = ks_rows;
   result.failures = std::move(failures);
   const auto merge_start = std::chrono::steady_clock::now();
-  SplitDataResult split = merge_split_segments(std::move(keyed), config_.split);
-  record_stage_time(result.stage_times, "dist_merge",
-                    elapsed_ns(merge_start));
+  SplitDataResult split = [&] {
+    OBS_SPAN("pipeline.split");
+    return merge_split_segments(std::move(keyed), config_.split);
+  }();
+  record_stage_time(result.stage_times, "split", elapsed_ns(merge_start));
   process_and_merge(engine, std::move(split), result);
   return result;
 }

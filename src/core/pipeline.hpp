@@ -30,38 +30,27 @@ namespace ivt::core {
 /// How the pipeline executes lines 2–9 of Algorithm 1 over a columnar
 /// trace.
 ///
-/// Batch (default): materialize the full K_b scan, then run preselect /
-/// interpret / split as separate engine stages with a barrier between
-/// each — peak memory grows with the trace.
+/// Batch (default) and Streaming name the same in-process executor over
+/// .ivc data: U_comb is pushed down into the chunk scan and each
+/// surviving chunk flows decode → preselect → interpret → per-signal
+/// shard append as ONE morsel task; bounded task admission caps the
+/// number of decoded morsels in flight, so peak memory is bounded by the
+/// admission window × chunk size + the split accumulators. Both names
+/// stay so existing invocations keep working. (Over a materialized K_b
+/// table — a row-oriented .ivt trace — run(engine, kb) is the only path.)
 ///
-/// Streaming: each surviving .ivc chunk flows decode → preselect →
-/// interpret → per-signal shard append as ONE morsel task; bounded task
-/// admission caps the number of decoded morsels in flight, so peak memory
-/// is bounded by max_in_flight × chunk size + the split accumulators.
-/// Output (K_s, K_rep, reports, failure counters) is identical to batch.
-///
-/// Dist: the streaming morsel work fanned out over coordinator-assigned
+/// Dist: the same morsel work fanned out over coordinator-assigned
 /// worker processes (src/dist); orchestrated by the CLI layer
 /// (`ivt run --exec dist`), not by Pipeline::run — the core only merges
-/// the returned partials via merge_morsel_partials. Output is again
-/// identical to batch, clean runs and recovered-failure runs alike.
+/// the returned partials via merge_morsel_partials. Output is identical
+/// to the in-process executor, clean runs and recovered-failure runs
+/// alike.
 enum class ExecMode { Batch, Streaming, Dist };
 
 /// Parse "batch" / "streaming" / "dist" (the CLI --exec values); throws
 /// std::invalid_argument on anything else.
 ExecMode parse_exec_mode(const std::string& text);
 [[nodiscard]] const char* to_string(ExecMode mode);
-
-struct StreamingOptions {
-  /// Cap on morsels simultaneously queued or running. 0 = 2 × workers + 1
-  /// (enough to keep every worker busy while one morsel is being
-  /// admitted, without unbounded queue growth).
-  std::size_t max_in_flight = 0;
-  /// Hash-shard count for the split accumulators (shard by s_id). 0 =
-  /// 4 × workers, clamped to [1, 64]. Purely a contention knob: results
-  /// are merged order-stably and do not depend on it.
-  std::size_t shards = 0;
-};
 
 struct PipelineConfig {
   /// U_comb: the domain's relevant signals. Empty = all catalog signals.
@@ -92,7 +81,6 @@ struct PipelineConfig {
   errors::ErrorPolicy on_error = errors::ErrorPolicy::Fail;
   /// Execution topology for run(engine, reader); see ExecMode.
   ExecMode exec_mode = ExecMode::Batch;
-  StreamingOptions streaming;
   /// How .ivc chunks are evaluated (CLI --scan): Decoded materializes
   /// every column of every zone-map-surviving chunk before row filtering;
   /// Compressed evaluates the U_comb predicate on the v2 key-run headers
@@ -120,8 +108,8 @@ struct SequenceReport {
 };
 
 /// Wall time of one Algorithm-1 stage across the whole run (sub-stages
-/// executed per sequence are summed over sequences, so on a parallel run
-/// they can exceed the elapsed wall clock).
+/// executed per sequence or per morsel are summed over them, so on a
+/// parallel run they can exceed the elapsed wall clock).
 struct StageTiming {
   std::string stage;
   double wall_ms = 0.0;
@@ -150,8 +138,11 @@ struct PipelineResult {
   std::size_t krep_rows = 0;
 
   /// Per-stage wall-time totals in execution order (preselect, interpret,
-  /// split, reduce, extend, classify, branch, merge, state_repr). Also
-  /// published to the obs metrics registry as
+  /// split, reduce, extend, classify, branch, merge, state_repr) — the
+  /// same list on every path. The morsel executor sums chunk fetch,
+  /// decode and row filter into preselect, and bucketing plus the shard
+  /// merge into split; dist reports only its coordinator-side merge as
+  /// split. Also published to the obs metrics registry as
   /// `pipeline.stage.<name>.wall_ns` counters.
   std::vector<StageTiming> stage_times;
 
@@ -184,30 +175,32 @@ class Pipeline {
   /// The parameterization table U_comb handed to the join.
   [[nodiscard]] const dataflow::Table& urel() const { return urel_; }
 
-  /// Full Algorithm 1.
+  /// Full Algorithm 1 over a materialized K_b table (a row-oriented .ivt
+  /// trace). Stage by stage with a barrier between each; also the
+  /// reference the executor below is tested against.
   PipelineResult run(dataflow::Engine& engine,
                      const dataflow::Table& kb) const;
 
-  /// Full Algorithm 1 from a columnar reader, dispatching on
-  /// config().exec_mode. Batch materializes a full scan (honouring
-  /// config().on_error for corrupt chunks) and runs run(engine, kb);
-  /// Streaming runs run_streaming(). In both modes scan-level failures
-  /// (quarantined chunks) are folded into result.failures ahead of
-  /// sequence failures, and `stats` (optional) receives the scan
-  /// statistics — callers need not merge anything themselves.
+  /// Full Algorithm 1 from a columnar reader through the morsel executor
+  /// (config().exec_mode Batch and Streaming alike; Dist is orchestrated
+  /// by the CLI and throws here). Scan-level failures (quarantined
+  /// chunks) are folded into result.failures ahead of sequence failures,
+  /// and `stats` (optional) receives the scan statistics — callers need
+  /// not merge anything themselves.
   PipelineResult run(dataflow::Engine& engine,
                      const colstore::ColumnarReader& reader,
                      colstore::ScanStats* stats = nullptr) const;
 
-  /// The streaming morsel path (ignores config().exec_mode — this IS the
-  /// streaming mode): U_comb is pushed down as the scan predicate, each
-  /// surviving chunk is decoded, preselected, interpreted and bucketed
-  /// into hash-sharded split accumulators as one bounded-admission task,
-  /// and the accumulators are merged order-stably so K_s order, split
-  /// sequences, K_rep and all counters are identical to batch.
-  PipelineResult run_streaming(dataflow::Engine& engine,
-                               const colstore::ColumnarReader& reader,
-                               colstore::ScanStats* stats = nullptr) const;
+  /// The morsel executor over any chunk source (ivt-serve passes one that
+  /// reads through its chunk cache): U_comb is pushed down as the scan
+  /// predicate, each surviving chunk is decoded, preselected, interpreted
+  /// and bucketed into hash-sharded split accumulators as one
+  /// bounded-admission task, and the accumulators are merged order-stably
+  /// so K_s order, split sequences, K_rep and all counters are identical
+  /// to run(engine, kb) over the same rows.
+  PipelineResult run(dataflow::Engine& engine,
+                     const colstore::ChunkSource& source,
+                     colstore::ScanStats* stats = nullptr) const;
 
   /// Entry point for the distributed executor (src/dist): merge the
   /// per-morsel split segments collected from workers through the shared
@@ -237,8 +230,8 @@ class Pipeline {
   ReducedResult extract_and_reduce(dataflow::Engine& engine,
                                    const dataflow::Table& kb) const;
 
-  /// Streaming-mode lines 3–11 (Fig. 5 scope) straight from a reader.
-  ReducedResult extract_and_reduce_streaming(
+  /// Same straight from a reader, through the morsel executor.
+  ReducedResult extract_and_reduce(
       dataflow::Engine& engine,
       const colstore::ColumnarReader& reader) const;
 
@@ -246,10 +239,16 @@ class Pipeline {
   [[nodiscard]] const signaldb::SignalSpec* spec_of(
       const std::string& s_id) const;
 
+  /// Lines 10–11 over every split sequence, shared by both
+  /// extract_and_reduce overloads.
+  ReducedResult reduce_all(dataflow::Engine& engine, std::size_t ks_rows,
+                           SplitDataResult split) const;
+
   /// Algorithm 1 lines 10–29 + state representation, shared verbatim by
-  /// the batch and streaming paths: consumes `split`, fills sequence
-  /// reports, K_rep, state and the per-sequence stage times, and appends
-  /// dropped-sequence failures to result.failures.
+  /// the whole-table path, the morsel executor and dist: consumes
+  /// `split`, fills sequence reports, K_rep, state and the per-sequence
+  /// stage times, and appends dropped-sequence failures to
+  /// result.failures.
   void process_and_merge(dataflow::Engine& engine, SplitDataResult split,
                          PipelineResult& result) const;
 
@@ -263,8 +262,8 @@ dataflow::Table concat_tables(const dataflow::Schema& schema,
                               std::vector<dataflow::Table> tables);
 
 /// Append one stage total to `times` and publish it to the metrics
-/// registry (`pipeline.stage.<name>.wall_ns`). Shared by pipeline.cpp and
-/// streaming.cpp so both modes report stage times the same way.
+/// registry (`pipeline.stage.<name>.wall_ns`), so every execution path
+/// reports stage times the same way.
 void record_stage_time(std::vector<StageTiming>& times, const char* name,
                        std::uint64_t wall_ns);
 

@@ -4,36 +4,11 @@
 #include <sstream>
 
 #include "errors/failure_log.hpp"
+#include "support/json_escape.hpp"
 
 namespace ivt::core {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
+using support::json_escape;
 
 std::string report_summary_line(const PipelineResult& result) {
   char buf[256];

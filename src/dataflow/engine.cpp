@@ -98,6 +98,7 @@ void Engine::parallel_for_bounded(std::size_t n, std::size_t max_in_flight,
   if (n == 0) return;
   if (max_in_flight == 0) max_in_flight = 2 * workers() + 1;
   if (n == 1) {
+    OBS_SPAN("engine.task");
     apply_task_overhead();
     run_with_retry(0, fn);
     return;
@@ -106,6 +107,7 @@ void Engine::parallel_for_bounded(std::size_t n, std::size_t max_in_flight,
     OBS_GAUGE_ADD("engine.morsels_in_flight", 1);
     pool_->submit_bounded(
         [this, &fn, i] {
+          OBS_SPAN("engine.task");
           apply_task_overhead();
           try {
             run_with_retry(i, fn);

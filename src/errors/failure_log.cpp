@@ -4,32 +4,13 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "support/json_escape.hpp"
 
 namespace ivt::errors {
 
-namespace {
+using support::json_escape;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace {
 
 void count_failure_metrics(const FailureRecord& record) {
 #if IVT_OBS_ENABLED

@@ -8,42 +8,13 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "support/json_escape.hpp"
 
 namespace ivt::obs {
 
 namespace {
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-}
+using support::append_json_escaped;
 
 std::int64_t unix_now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include "obs/window.hpp"
+#include "support/json_escape.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -258,27 +259,7 @@ void Registry::reset() {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using support::json_escape;
 
 std::string render_double(double v) {
   char buf[32];

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "support/json_escape.hpp"
+
 namespace ivt::serve::json {
 namespace {
 
@@ -331,39 +333,7 @@ Value parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20U) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+std::string escape(const std::string& s) { return support::json_escape(s); }
 
 Object& Object::add(const std::string& key, const std::string& value) {
   fields_.emplace_back(key, "\"" + escape(value) + "\"");

@@ -90,7 +90,8 @@ struct Value {
 /// on malformed input or trailing content.
 [[nodiscard]] Value parse(const std::string& text);
 
-/// RFC 8259 string escaping (shared with the writer below).
+/// RFC 8259 string escaping: support::json_escape, under the name the
+/// serve JSON API has always exported (shared with the writer below).
 [[nodiscard]] std::string escape(const std::string& s);
 
 /// Ordered JSON object builder for responses. Values render immediately,

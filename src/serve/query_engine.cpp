@@ -11,11 +11,9 @@
 #include <vector>
 
 #include "apps/anomaly.hpp"
-#include "colstore/chunk_decode.hpp"
-#include "colstore/columnar_reader.hpp"
-#include "core/interpret.hpp"
+#include "core/partials.hpp"
 #include "core/pipeline.hpp"
-#include "core/urel.hpp"
+#include "core/schemas.hpp"
 #include "dataflow/csv.hpp"
 #include "dataflow/engine.hpp"
 #include "dataflow/ops.hpp"
@@ -51,17 +49,33 @@ std::string render_csv(const dataflow::Table& table) {
   return std::move(out).str();
 }
 
-/// U_comb for the requested signal set; unknown signal names become a
-/// typed Spec error (the batch CLI maps the same std::invalid_argument to
-/// a usage error, but over the wire every failure must be typed).
-dataflow::Table build_urel(const signaldb::Catalog& db,
-                           const std::vector<std::string>& signals) {
+double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
+
+/// Algorithm 1 over the requested signal set (U_comb) with the batch CLI's
+/// defaults (`ivt run`), so served results are byte-comparable with batch
+/// output. Unknown signal names become a typed Spec error (the batch CLI
+/// maps the same std::invalid_argument to a usage error, but over the
+/// wire every failure must be typed).
+core::Pipeline make_pipeline(const signaldb::Catalog& db,
+                             const std::vector<std::string>& signals,
+                             double rate_threshold_hz,
+                             colstore::ScanMode scan_mode) {
+  core::PipelineConfig config;
+  config.signals = signals;
+  config.classifier.rate_threshold_hz = rate_threshold_hz;
+  config.scan_mode = scan_mode;
   try {
-    return signals.empty() ? core::make_full_urel_table(db)
-                           : core::make_urel_table(db, signals);
+    return core::Pipeline(db, std::move(config));
   } catch (const std::invalid_argument& e) {
     IVT_THROW(errors::Category::Spec, std::string("serve: ") + e.what());
   }
+}
+
+double stage_ms(const core::PipelineResult& result, const char* stage) {
+  for (const core::StageTiming& st : result.stage_times) {
+    if (st.stage == stage) return st.wall_ms;
+  }
+  return 0.0;
 }
 
 }  // namespace
@@ -107,6 +121,20 @@ struct QueryEngine::RequestContext {
   };
 
   [[nodiscard]] bool has_time_range() const { return has_min || has_max; }
+
+  /// U_comb pushed down, narrowed to the request's time window if any.
+  [[nodiscard]] colstore::ScanPredicate scan_predicate(
+      const dataflow::Table& urel) const {
+    colstore::ScanPredicate pred = core::urel_scan_predicate(urel);
+    if (has_time_range()) {
+      pred.has_time_range = true;
+      pred.min_t_ns =
+          has_min ? min_t_ns : std::numeric_limits<std::int64_t>::min();
+      pred.max_t_ns =
+          has_max ? max_t_ns : std::numeric_limits<std::int64_t>::max();
+    }
+    return pred;
+  }
 
   [[nodiscard]] QueryResult finish(json::Object& body,
                                    std::string payload = {}) const {
@@ -204,25 +232,26 @@ QueryResult QueryEngine::op_list(RequestContext& ctx) {
   std::vector<std::string> rendered;
   for (const std::string& name : catalog_->names()) {
     const TraceEntry& entry = catalog_->require(name);
+    const colstore::Footer& footer = entry.footer;
     std::int64_t min_t = 0;
     std::int64_t max_t = 0;
-    if (!entry.chunks.empty()) {
-      min_t = entry.chunks.front().min_t_ns;
-      max_t = entry.chunks.front().max_t_ns;
-      for (const colstore::ChunkInfo& c : entry.chunks) {
+    if (!footer.chunks.empty()) {
+      min_t = footer.chunks.front().min_t_ns;
+      max_t = footer.chunks.front().max_t_ns;
+      for (const colstore::ChunkInfo& c : footer.chunks) {
         min_t = std::min(min_t, c.min_t_ns);
         max_t = std::max(max_t, c.max_t_ns);
       }
     }
     json::Object t;
     t.add("name", name)
-        .add("vehicle", entry.vehicle)
-        .add("journey", entry.journey)
-        .add("rows", static_cast<std::uint64_t>(entry.num_rows))
-        .add("chunks", static_cast<std::uint64_t>(entry.chunks.size()))
+        .add("vehicle", footer.vehicle)
+        .add("journey", footer.journey)
+        .add("rows", static_cast<std::uint64_t>(footer.num_rows()))
+        .add("chunks", static_cast<std::uint64_t>(footer.chunks.size()))
         .add("min_t_ns", min_t)
         .add("max_t_ns", max_t)
-        .raw("buses", json::render_array(entry.buses));
+        .raw("buses", json::render_array(footer.buses));
     rendered.push_back(t.str());
   }
   std::string array = "[";
@@ -272,6 +301,9 @@ QueryResult QueryEngine::op_stats(RequestContext& ctx) {
       .add("requests_overloaded", relaxed(accounting_.requests_overloaded))
       .add("chunks_decoded", relaxed(accounting_.chunks_decoded))
       .add("chunks_loaded", relaxed(accounting_.chunks_loaded))
+      .add("runs_considered", relaxed(accounting_.runs_considered))
+      .add("runs_pruned", relaxed(accounting_.runs_pruned))
+      .add("runs_accepted", relaxed(accounting_.runs_accepted))
       .add("in_flight",
            accounting_.in_flight.load(std::memory_order_relaxed));
   {
@@ -327,61 +359,70 @@ QueryResult QueryEngine::op_metrics(RequestContext& ctx) {
   return ctx.finish(body, std::move(payload));
 }
 
-dataflow::Table QueryEngine::load_kb(RequestContext& ctx,
-                                     const TraceEntry& entry,
-                                     const dataflow::Table& urel) {
-  const RequestContext::StageTimer timer(ctx, "scan");
-  OBS_SPAN("serve.scan");
-  colstore::ScanPredicate pred = core::urel_scan_predicate(urel);
-  if (ctx.has_time_range()) {
-    pred.has_time_range = true;
-    pred.min_t_ns =
-        ctx.has_min ? ctx.min_t_ns : std::numeric_limits<std::int64_t>::min();
-    pred.max_t_ns =
-        ctx.has_max ? ctx.max_t_ns : std::numeric_limits<std::int64_t>::max();
-  }
-  dataflow::Table kb(tracefile::kb_schema());
-  ctx.chunks_total = entry.chunks.size();
-  const std::vector<std::uint16_t> bus_indices =
-      colstore::detail::prune_bus_indices(pred, entry.buses);
-  for (std::size_t i = 0; i < entry.chunks.size(); ++i) {
-    const colstore::ChunkInfo& info = entry.chunks[i];
-    if (!colstore::chunk_may_match(info, pred, bus_indices)) continue;
-    ++ctx.chunks_scanned;
-    bool cache_hit = false;
-    const std::shared_ptr<const std::string> bytes =
-        catalog_->chunk_bytes(entry, i, chunk_cache_, &cache_hit);
-    if (cache_hit) {
-      ++ctx.chunk_cache_hits;
-    } else {
-      ++ctx.chunk_cache_misses;
-      // A tier-1 miss means chunk_bytes() just read the extent from disk.
-      accounting_.chunks_loaded.fetch_add(1, std::memory_order_relaxed);
-    }
-    dataflow::Partition part = colstore::scan_chunk_from_bytes(
-        *bytes, info, pred, entry.buses, entry.version, entry.key_dict,
-        scan_mode_, nullptr);
-    accounting_.chunks_decoded.fetch_add(1, std::memory_order_relaxed);
-    OBS_COUNT("serve.chunks_decoded", 1);
-    ++ctx.chunks_decoded;
-    kb.add_partition(std::move(part));
-  }
-  return kb;
+colstore::ChunkSource QueryEngine::cached_source(RequestContext& ctx,
+                                                const TraceEntry& entry) {
+  // Requests run on an inline engine, so this fetch only ever runs on the
+  // request's own thread and may bump ctx's plain counters.
+  return {&entry.footer, [this, &ctx, &entry](std::size_t chunk) {
+            bool cache_hit = false;
+            std::shared_ptr<const std::string> bytes =
+                catalog_->chunk_bytes(entry, chunk, chunk_cache_, &cache_hit);
+            if (cache_hit) {
+              ++ctx.chunk_cache_hits;
+            } else {
+              ++ctx.chunk_cache_misses;
+              // A tier-1 miss means chunk_bytes() just read the extent.
+              accounting_.chunks_loaded.fetch_add(1,
+                                                  std::memory_order_relaxed);
+            }
+            // Every fetch feeds exactly one chunk decode.
+            accounting_.chunks_decoded.fetch_add(1, std::memory_order_relaxed);
+            OBS_COUNT("serve.chunks_decoded", 1);
+            ++ctx.chunks_decoded;
+            const colstore::ByteSpan view{
+                reinterpret_cast<const std::uint8_t*>(bytes->data()),
+                bytes->size()};
+            return colstore::ChunkExtent{view, std::move(bytes)};
+          }};
+}
+
+void QueryEngine::note_scan(RequestContext& ctx,
+                            const colstore::ScanStats& stats) {
+  ctx.chunks_total = stats.chunks_total;
+  ctx.chunks_scanned = stats.chunks_scanned;
+  accounting_.runs_considered.fetch_add(stats.runs_considered,
+                                        std::memory_order_relaxed);
+  accounting_.runs_pruned.fetch_add(stats.runs_pruned,
+                                    std::memory_order_relaxed);
+  accounting_.runs_accepted.fetch_add(stats.runs_accepted,
+                                      std::memory_order_relaxed);
 }
 
 QueryResult QueryEngine::op_preselect(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const dataflow::Table urel = build_urel(catalog_->db(), ctx.signals);
-  const dataflow::Table kb = load_kb(ctx, entry, urel);
+  const core::Pipeline pipeline = make_pipeline(
+      catalog_->db(), ctx.signals, ctx.rate_threshold_hz, scan_mode_);
+  dataflow::Table kpre(tracefile::kb_schema());
+  {
+    const RequestContext::StageTimer timer(ctx, "scan");
+    OBS_SPAN("serve.scan");
+    const colstore::ChunkCursor cursor(cached_source(ctx, entry),
+                                       ctx.scan_predicate(pipeline.urel()),
+                                       {.mode = scan_mode_});
+    for (std::size_t k = 0; k < cursor.num_morsels(); ++k) {
+      kpre.add_partition(cursor.decode(k));
+    }
+    note_scan(ctx, cursor.stats());
+  }
   std::string payload;
   {
     const RequestContext::StageTimer timer(ctx, "serialize");
-    payload = render_csv(kb);
+    payload = render_csv(kpre);
   }
-  ctx.rows = kb.num_rows();
+  ctx.rows = kpre.num_rows();
   json::Object body = ctx.base();
-  body.add("rows", static_cast<std::uint64_t>(kb.num_rows()))
-      .add("columns", static_cast<std::uint64_t>(kb.schema().size()))
+  body.add("rows", static_cast<std::uint64_t>(kpre.num_rows()))
+      .add("columns", static_cast<std::uint64_t>(kpre.schema().size()))
       .add("chunks_total", static_cast<std::uint64_t>(ctx.chunks_total))
       .add("chunks_scanned", static_cast<std::uint64_t>(ctx.chunks_scanned))
       .add("payload_format", "csv");
@@ -390,16 +431,21 @@ QueryResult QueryEngine::op_preselect(RequestContext& ctx) {
 
 QueryResult QueryEngine::op_extract(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const dataflow::Table urel = build_urel(catalog_->db(), ctx.signals);
-  const dataflow::Table kb = load_kb(ctx, entry, urel);
-  dataflow::Engine engine = make_inline_engine();
-  core::InterpretOptions options;
-  options.catalog = &catalog_->db();
-  dataflow::Table ks;
+  const core::Pipeline pipeline = make_pipeline(
+      catalog_->db(), ctx.signals, ctx.rate_threshold_hz, scan_mode_);
+  dataflow::Table ks(core::ks_schema());
   {
-    const RequestContext::StageTimer timer(ctx, "interpret");
-    OBS_SPAN("serve.interpret");
-    ks = core::interpret(engine, kb, urel, options);
+    OBS_SPAN("serve.extract");
+    const core::MorselProcessor processor(
+        cached_source(ctx, entry), ctx.scan_predicate(pipeline.urel()),
+        pipeline.urel(), pipeline.config(), nullptr);
+    for (std::size_t k = 0; k < processor.num_morsels(); ++k) {
+      ks.add_partition(processor.extract(k));
+    }
+    note_scan(ctx, processor.stats());
+    const core::MorselTimes times = processor.times();
+    ctx.stages.emplace_back("scan", ns_to_ms(times.preselect_ns));
+    ctx.stages.emplace_back("interpret", ns_to_ms(times.interpret_ns));
   }
   std::string payload;
   {
@@ -434,30 +480,26 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
     return hit;
   }
 
-  // Build: full-journey pipeline run (NOT time-sliced — the state
-  // representation forward-fills from the journey start, so a slice is
-  // applied to the finished table, never to the scan). Parameters match
-  // the batch CLI defaults (`ivt run`) so served results are
-  // byte-comparable with batch output.
-  const dataflow::Table urel = build_urel(catalog_->db(), ctx.signals);
-  const bool saved_min = ctx.has_min;
-  const bool saved_max = ctx.has_max;
-  ctx.has_min = false;
-  ctx.has_max = false;
-  const dataflow::Table kb = load_kb(ctx, entry, urel);
-  ctx.has_min = saved_min;
-  ctx.has_max = saved_max;
-
+  // Build: full-journey run of the morsel executor over the cached
+  // extents (NOT time-sliced — the state representation forward-fills
+  // from the journey start, so a slice is applied to the finished table,
+  // never to the scan).
+  const core::Pipeline pipeline = make_pipeline(
+      catalog_->db(), ctx.signals, ctx.rate_threshold_hz, scan_mode_);
   auto built = std::make_shared<StateEntry>();
   {
-    const RequestContext::StageTimer timer(ctx, "pipeline");
+    const Clock::time_point start = Clock::now();
     OBS_SPAN("serve.pipeline");
-    core::PipelineConfig config;
-    config.signals = ctx.signals;
-    config.classifier.rate_threshold_hz = ctx.rate_threshold_hz;
     dataflow::Engine engine = make_inline_engine();
-    const core::Pipeline pipeline(catalog_->db(), config);
-    core::PipelineResult result = pipeline.run(engine, kb);
+    colstore::ScanStats scan;
+    core::PipelineResult result =
+        pipeline.run(engine, cached_source(ctx, entry), &scan);
+    note_scan(ctx, scan);
+    // "scan" is the executor's preselect stage (chunk fetch, decode, row
+    // filter); "pipeline" is the rest of the build.
+    const double scan_ms = stage_ms(result, "preselect");
+    ctx.stages.emplace_back("scan", scan_ms);
+    ctx.stages.emplace_back("pipeline", ms_since(start) - scan_ms);
     built->state = std::move(result.state);
     built->krep = std::move(result.krep);
   }

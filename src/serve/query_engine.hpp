@@ -28,7 +28,11 @@
 //
 // Cache tiers:
 //   tier 1 ("serve.chunk_cache"): compressed chunk extents, keyed
-//     (trace, chunk index). Hits skip the pread; decode still runs.
+//     (trace, chunk index). Hits skip the pread; decode still runs. Every
+//     data op reads them through one colstore::ChunkSource, so preselect
+//     is a ChunkCursor over the cache, extract adds the shared
+//     core::MorselProcessor interpretation, and a state build is the
+//     whole core::Pipeline morsel executor.
 //   tier 2 ("serve.state_cache"): materialized state representations
 //     (state + K_rep tables), keyed (trace, signal set, rate threshold).
 //     Hits skip scan, decode and the whole pipeline — repeated state and
@@ -42,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "colstore/chunk_cursor.hpp"
 #include "dataflow/table.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/window.hpp"
@@ -55,9 +60,9 @@ struct QueryEngineConfig {
   std::size_t chunk_cache_bytes = 64ULL << 20U;
   std::size_t state_cache_bytes = 64ULL << 20U;
   /// How cached chunk extents are evaluated (`ivt serve --scan`): under
-  /// Compressed, a tier-1 hit on a v2 trace is scanned run-level — the
-  /// request predicate prunes whole key runs without re-decoding the
-  /// extent — instead of being fully decoded on every request. Results
+  /// Compressed, a v2 chunk is scanned run-level — the request predicate
+  /// prunes whole key runs without decoding them — and U_comb joins by
+  /// dictionary index, exactly as in `ivt run --scan compressed`. Results
   /// are byte-identical; v1 traces always decode.
   colstore::ScanMode scan_mode = colstore::ScanMode::Decoded;
   /// Window width (seconds) for the rolling latency / request-count
@@ -93,6 +98,11 @@ struct RequestAccounting {
   std::atomic<std::uint64_t> requests_overloaded{0};
   std::atomic<std::uint64_t> chunks_decoded{0};
   std::atomic<std::uint64_t> chunks_loaded{0};
+  /// Compressed-scan key runs, summed over requests (all zero under
+  /// --scan decoded; see colstore::ScanStats).
+  std::atomic<std::uint64_t> runs_considered{0};
+  std::atomic<std::uint64_t> runs_pruned{0};
+  std::atomic<std::uint64_t> runs_accepted{0};
   std::atomic<std::int64_t> in_flight{0};
   obs::Histogram latency_ms{obs::default_latency_bounds_ms()};
   obs::RollingCounter requests_window;
@@ -168,9 +178,13 @@ class QueryEngine {
   QueryResult op_state(RequestContext& ctx);
   QueryResult op_mine(RequestContext& ctx);
 
-  /// Zone-map-pruned K_b load through the chunk cache.
-  dataflow::Table load_kb(RequestContext& ctx, const TraceEntry& entry,
-                          const dataflow::Table& urel);
+  /// `entry` as a chunk source whose fetch reads through the tier-1
+  /// cache and counts this request's cache hits, misses and decodes.
+  colstore::ChunkSource cached_source(RequestContext& ctx,
+                                      const TraceEntry& entry);
+
+  /// Fold one scan's statistics into the request and the daemon totals.
+  void note_scan(RequestContext& ctx, const colstore::ScanStats& stats);
 
   /// Tier-2 lookup / build of the state representation.
   std::shared_ptr<const StateEntry> state_entry(RequestContext& ctx,

@@ -27,20 +27,10 @@ void TraceCatalog::add_trace(const std::string& name,
               "serve: duplicate trace name '" + name + "'");
   }
   auto entry = std::make_unique<TraceEntry>();
-  {
-    // Reader holds the whole file only for the duration of this scope;
-    // after metadata extraction the image is freed and chunk bytes are
-    // re-read on demand (or served from the chunk cache).
-    const colstore::ColumnarReader reader(path);
-    entry->vehicle = reader.vehicle();
-    entry->journey = reader.journey();
-    entry->start_unix_ns = reader.start_unix_ns();
-    entry->buses = reader.bus_names();
-    entry->chunks = reader.chunks();
-    entry->version = reader.version();
-    entry->key_dict = reader.key_dict();
-    entry->num_rows = reader.num_rows();
-  }
+  // The reader holds the whole file only for this statement; the image is
+  // freed once the footer is copied out, and chunk bytes are re-read on
+  // demand (or served from the chunk cache).
+  entry->footer = colstore::ColumnarReader(path).footer();
   entry->name = name;
   entry->path = path;
   entry->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -87,7 +77,7 @@ std::shared_ptr<const std::string> TraceCatalog::chunk_bytes(
   // error) — it must surface as a typed error response, never tear down
   // the connection.
   FAULT_POINT("serve.cache");
-  const colstore::ChunkInfo& info = entry.chunks.at(chunk_index);
+  const colstore::ChunkInfo& info = entry.footer.chunks.at(chunk_index);
   auto bytes = std::make_shared<std::string>();
   bytes->resize(info.encoded_bytes);
   std::size_t done = 0;

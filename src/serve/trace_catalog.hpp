@@ -2,14 +2,15 @@
 // (.ivsdb) plus a set of registered .ivc traces.
 //
 // Registration opens each .ivc once to parse the footer (chunk directory,
-// zone maps, bus dictionary, vehicle/journey identity) and then DROPS the
-// file image, keeping only the metadata and an O_RDONLY file descriptor.
-// At query time, surviving chunks are fetched as their raw compressed
-// extents [offset, offset + encoded_bytes) via pread(2) — or, on a warm
-// path, straight from the tier-1 chunk cache — and decoded through
-// colstore::decode_chunk_from_bytes. The daemon's resident footprint is
-// therefore (cache budget + metadata), not (sum of trace files), which is
-// what makes serving a large fleet catalog from one process viable.
+// zone maps, bus and key dictionaries, vehicle/journey identity) and then
+// DROPS the file image, keeping only the colstore::Footer and an O_RDONLY
+// file descriptor. At query time, surviving chunks are fetched as their
+// raw compressed extents [offset, offset + encoded_bytes) via pread(2) —
+// or, on a warm path, straight from the tier-1 chunk cache — and decoded
+// by a colstore::ChunkCursor whose ChunkSource fetch is chunk_bytes(). The
+// daemon's resident footprint is therefore (cache budget + metadata), not
+// (sum of trace files), which is what makes serving a large fleet catalog
+// from one process viable.
 //
 // The catalog is immutable after construction completes (the server
 // registers every trace before it starts accepting), so lookups are
@@ -28,21 +29,12 @@
 
 namespace ivt::serve {
 
-/// Parsed footer metadata of one registered trace.
+/// One registered trace: its parsed footer plus the descriptor its chunk
+/// extents are read through.
 struct TraceEntry {
   std::string name;     ///< catalog key (request "trace" field)
   std::string path;
-  std::string vehicle;
-  std::string journey;
-  std::int64_t start_unix_ns = 0;
-  std::vector<std::string> buses;
-  std::vector<colstore::ChunkInfo> chunks;
-  /// Container format version + v2 join-key dictionary (empty for v1):
-  /// the file context scan_chunk_from_bytes needs so cached extents can
-  /// be evaluated compressed instead of re-decoded per request.
-  std::uint32_t version = colstore::kColumnarFormatVersionV1;
-  std::vector<colstore::KeyDictEntry> key_dict;
-  std::size_t num_rows = 0;
+  colstore::Footer footer;
   int fd = -1;          ///< owned O_RDONLY descriptor for pread
 
   TraceEntry() = default;
@@ -90,8 +82,8 @@ class TraceCatalog {
 
   /// Fetch chunk `chunk_index` of `entry` as its raw compressed bytes,
   /// consulting (and on miss populating) `cache`. The returned bytes are
-  /// exactly the on-disk extent; decode with
-  /// colstore::decode_chunk_from_bytes. Fault site "serve.cache" fires on
+  /// exactly the on-disk extent — what a colstore::ChunkSource fetch
+  /// hands the cursor to decode. Fault site "serve.cache" fires on
   /// the miss path, modelling a failed backing-store read. `was_hit`
   /// (optional) reports whether the cache served the extent — per-request
   /// accounting for the access log, where the cache's lifetime hit

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ivt::bench {
@@ -112,6 +118,43 @@ TEST(BenchUtilTest, RobustnessFieldsRenderIntoRecord) {
             "\"lint_findings\": 4, \"lint_exempted\": 5, "
             "\"tsan_races\": 7, \"analyzer_findings\": 8, "
             "\"lock_graph_nodes\": 15, \"layer_violations\": 9}");
+}
+
+TEST(BenchUtilTest, JsonLinesEmitterThrowsNamingAnUnopenablePath) {
+  const std::string missing =
+      ::testing::TempDir() + "/no_such_bench_dir/nested";
+  ::setenv("IVT_BENCH_JSON_DIR", missing.c_str(), 1);
+  try {
+    const JsonLinesEmitter emitter("util_test");
+    ADD_FAILURE() << "opened " << emitter.path()
+                  << " although its directory does not exist";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing + "/BENCH_util_test.json"),
+              std::string::npos)
+        << e.what();
+  }
+  ::unsetenv("IVT_BENCH_JSON_DIR");
+}
+
+TEST(BenchUtilTest, JsonLinesEmitterAppendsRows) {
+  ::setenv("IVT_BENCH_JSON_DIR", ::testing::TempDir().c_str(), 1);
+  std::string path;
+  {
+    JsonLinesEmitter emitter("util_test_rows");
+    path = emitter.path();
+    std::remove(path.c_str());
+  }
+  {
+    JsonLinesEmitter emitter("util_test_rows");
+    emitter.emit(JsonRecord().add("row", std::uint64_t{1}));
+    emitter.emit(JsonRecord().add("row", std::uint64_t{2}));
+  }
+  ::unsetenv("IVT_BENCH_JSON_DIR");
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content, "{\"row\": 1}\n{\"row\": 2}\n");
+  std::remove(path.c_str());
 }
 
 TEST(BenchUtilTest, MetricsSnapshotWritesValidFile) {

@@ -14,7 +14,6 @@
 #include "errors/error.hpp"
 #include "core/urel.hpp"
 #include "dataflow/engine.hpp"
-#include "dataflow/thread_pool.hpp"
 #include "tracefile/binary_format.hpp"
 #include "tracefile/trace.hpp"
 
@@ -252,13 +251,10 @@ TEST(ColstoreTest, ParallelScansMatchSequential) {
   pred.message_ids = {100, 201, 302, 403, 704};
   const auto expected = reader.scan(pred).collect_rows();
 
-  dataflow::ThreadPool pool(3);
-  ScanStats pool_stats;
-  EXPECT_EQ(reader.scan(pred, pool, &pool_stats).collect_rows(), expected);
-  EXPECT_EQ(pool_stats.rows_emitted, expected.size());
-
   dataflow::Engine engine;
-  EXPECT_EQ(reader.scan(pred, engine).collect_rows(), expected);
+  ScanStats engine_stats;
+  EXPECT_EQ(reader.scan(pred, engine, &engine_stats).collect_rows(), expected);
+  EXPECT_EQ(engine_stats.rows_emitted, expected.size());
   bool recorded = false;
   for (const auto& m : engine.metrics()) {
     recorded = recorded || m.name == "colstore_scan";

@@ -1,13 +1,21 @@
-// Differential batch-vs-streaming harness: run Algorithm 1 over the same
-// columnar trace in both execution modes and assert that every observable
-// outcome is identical — tables byte-for-byte (K_s, K_rep, state), the
-// processing report, per-site failure counters and the CLI-equivalent exit
-// code. The streaming executor's entire correctness claim is "same output,
-// bounded memory"; this harness is how that claim is checked.
+// Differential harness: run Algorithm 1 over the same columnar trace
+// through the morsel executor and through an independent reference, and
+// assert that every observable outcome is identical — tables
+// byte-for-byte (K_s, K_rep, state), the processing report, per-site
+// failure counters and the CLI-equivalent exit code. The executor's
+// entire correctness claim is "same output, bounded memory"; this harness
+// is how that claim is checked.
+//
+// The reference is ExecMode::Batch here: a full reader.scan materializes
+// K_b (honouring the error policy), then the whole-table
+// Pipeline::run(engine, kb) runs stage by stage, with scan failures listed
+// ahead of sequence failures. Over .ivc data the production `--exec
+// batch` is the executor itself, so it cannot be its own reference.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -35,8 +43,29 @@ struct RunOutcome {
   colstore::ScanStats scan_stats;
 };
 
-/// Run the pipeline over `reader` in the given mode. The pipeline is
-/// constructed fresh per call so both modes see identical configuration.
+/// The reference run: full scan, then the whole-table pipeline.
+inline core::PipelineResult run_reference(
+    dataflow::Engine& engine, const core::Pipeline& pipeline,
+    const colstore::ColumnarReader& reader, colstore::ScanStats& stats) {
+  errors::FailureLog scan_failures;
+  colstore::ScanOptions options;
+  options.on_error = pipeline.config().on_error;
+  options.failures = &scan_failures;
+  options.mode = pipeline.config().scan_mode;
+  const dataflow::Table kb = reader.scan({}, engine, options, &stats);
+  core::PipelineResult result = pipeline.run(engine, kb);
+  std::vector<errors::FailureRecord> failures = scan_failures.records();
+  failures.insert(failures.end(),
+                  std::make_move_iterator(result.failures.begin()),
+                  std::make_move_iterator(result.failures.end()));
+  result.failures = std::move(failures);
+  return result;
+}
+
+/// Run the pipeline over `reader` in the given mode: Batch is the
+/// reference (see the header comment), every other mode the production
+/// Pipeline::run(engine, reader). The pipeline is constructed fresh per
+/// call so both runs see identical configuration.
 inline RunOutcome run_mode(const signaldb::Catalog& catalog,
                            const colstore::ColumnarReader& reader,
                            core::PipelineConfig config, core::ExecMode mode,
@@ -46,7 +75,9 @@ inline RunOutcome run_mode(const signaldb::Catalog& catalog,
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, std::move(config));
   try {
-    out.result = pipeline.run(engine, reader, &out.scan_stats);
+    out.result = mode == core::ExecMode::Batch
+                     ? run_reference(engine, pipeline, reader, out.scan_stats)
+                     : pipeline.run(engine, reader, &out.scan_stats);
     out.exit_code = out.result.failures.empty() ? 0 : 4;
   } catch (const errors::Error& e) {
     out.threw = true;
@@ -120,7 +151,7 @@ inline std::string render_counts(
   return os.str();
 }
 
-/// Full equivalence check between a batch and a streaming outcome. Probes
+/// Full equivalence check between the reference and another outcome. Probes
 /// everything a user can observe: exit code, error text (when thrown),
 /// row counters, sequence reports, correspondences, failure counters and
 /// the result tables.
@@ -203,8 +234,9 @@ inline ::testing::AssertionResult outcomes_equivalent(
   return ::testing::AssertionSuccess();
 }
 
-/// Run both modes over the same reader and assert equivalence. Returns the
-/// batch outcome so tests can make additional mode-independent assertions.
+/// Run the reference and the streaming executor over the same reader and
+/// assert equivalence. Returns the reference outcome so tests can make
+/// additional mode-independent assertions.
 inline RunOutcome expect_modes_equivalent(
     const signaldb::Catalog& catalog, const colstore::ColumnarReader& reader,
     const core::PipelineConfig& config,

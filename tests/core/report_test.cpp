@@ -62,8 +62,15 @@ TEST(ReportTest, JsonEscapesQuotes) {
   SequenceReport report;
   report.s_id = "weird\"name";
   result.sequences.push_back(report);
+  // Control bytes must be escaped too, or the document is not JSON.
+  SequenceReport control;
+  control.s_id = "cr\rsoh\x01" "end";
+  result.sequences.push_back(control);
   const std::string json = report_to_json(result);
   EXPECT_NE(json.find("weird\\\"name"), std::string::npos);
+  EXPECT_NE(json.find("cr\\rsoh\\u0001end"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\r'), std::string::npos);
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
 }
 
 }  // namespace

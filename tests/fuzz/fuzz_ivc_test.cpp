@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "colstore/chunk_cursor.hpp"
 #include "colstore/columnar_reader.hpp"
 #include "colstore/columnar_writer.hpp"
 #include "errors/error.hpp"
@@ -117,9 +118,10 @@ TEST(FuzzIvcTest, MutatedImagesNeverEscapeTypedErrors) {
   }
 }
 
-// The serve chunk-cache path: a cached chunk extent whose bytes rot (or
-// arrive damaged) must be rejected typed, whichever scan mode evaluates
-// it — the directory entry it is checked against is still good.
+// The serve chunk-cache path: a chunk extent fetched through a
+// ChunkSource whose bytes rot (or arrive damaged) must be rejected typed,
+// whichever scan mode evaluates it — the directory entry it is checked
+// against is still good.
 TEST(FuzzIvcTest, MutatedChunkExtentsNeverEscapeTypedErrors) {
   const std::string image = pack(small_trace(7, 150), 32);
   const colstore::ColumnarReader reader =
@@ -131,16 +133,22 @@ TEST(FuzzIvcTest, MutatedChunkExtentsNeverEscapeTypedErrors) {
     const std::string good = image.substr(
         static_cast<std::size_t>(info.offset),
         static_cast<std::size_t>(info.encoded_bytes));
-    // The cache stores extents standalone: rebase the directory entry.
-    colstore::ChunkInfo rebased = info;
-    rebased.offset = 0;
     for (std::uint64_t i = 0; i < kIterations; ++i) {
       const std::string bad = testfuzz::mutate(good, i ^ (c << 32));
+      // Every fetch hands back the damaged extent, the way a cache would.
+      const colstore::ChunkSource source{
+          &reader.footer(), [&bad](std::size_t) {
+            return colstore::ChunkExtent{
+                {reinterpret_cast<const std::uint8_t*>(bad.data()),
+                 bad.size()},
+                nullptr};
+          }};
       for (const ScanMode mode : {ScanMode::Decoded, ScanMode::Compressed}) {
         try {
-          (void)colstore::scan_chunk_from_bytes(
-              bad, rebased, ScanPredicate{}, reader.bus_names(),
-              reader.version(), reader.key_dict(), mode, nullptr);
+          // An unconstrained predicate prunes nothing: morsel c is chunk c.
+          const colstore::ChunkCursor cursor(source, ScanPredicate{},
+                                             ScanOptions{.mode = mode});
+          (void)cursor.decode(c);
         } catch (const errors::Error&) {
         } catch (const std::exception& e) {
           ADD_FAILURE() << "chunk=" << c << " iter=" << i

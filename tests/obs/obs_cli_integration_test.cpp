@@ -78,7 +78,7 @@ TEST(ObsCliIntegrationTest, RunEmitsTraceAndMetrics) {
   EXPECT_TRUE(saw_branch) << "no branch.{alpha,beta,gamma} span recorded";
   // Engine and colstore instrumentation rode along.
   EXPECT_TRUE(seen.count("engine.task"));
-  EXPECT_TRUE(seen.count("colstore.scan"));
+  EXPECT_TRUE(seen.count("colstore.decode_chunk"));
 
   // Metrics: thread-pool and colstore counters are present and sane.
   EXPECT_GE(metric_map.at("pool.tasks_executed").number(), 1.0);

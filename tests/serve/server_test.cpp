@@ -129,6 +129,48 @@ TEST_F(ServerTest, StateMatchesBatchPipeline) {
   EXPECT_EQ(served.payload, render_csv(batch.state));
 }
 
+// A cold state build runs the same morsel executor as `ivt run`, over the
+// cached chunk extents: under --scan compressed it takes the run-level
+// path and its key-run counters reach the stats op; under --scan decoded
+// there are none. Both serve the whole-table reference state byte for
+// byte.
+TEST_F(ServerTest, StateScanModesReportRunCountersAndMatchReference) {
+  dataflow::Engine engine = inline_engine();
+  const colstore::ColumnarReader reader(*ivc_path_);
+  const dataflow::Table kb =
+      reader.scan({}, engine, colstore::ScanOptions{});
+  const core::Pipeline pipeline(dataset_->catalog, core::PipelineConfig{});
+  const std::string reference = render_csv(pipeline.run(engine, kb).state);
+
+  for (const colstore::ScanMode mode :
+       {colstore::ScanMode::Compressed, colstore::ScanMode::Decoded}) {
+    SCOPED_TRACE(colstore::to_string(mode));
+    ServerConfig config;
+    config.query.scan_mode = mode;
+    const auto server = make_server(config);
+    Client client(server->host(), server->port());
+    const ClientResponse cold =
+        client.request(R"({"op":"state","trace":"syn"})");
+    ASSERT_TRUE(cold.ok()) << cold.error_message();
+    EXPECT_FALSE(cold.body.get_bool("cached", true));
+    EXPECT_EQ(cold.payload, reference);
+
+    const ClientResponse stats = client.request(R"({"op":"stats"})");
+    ASSERT_TRUE(stats.ok());
+    const std::int64_t considered = stats.body.get_int("runs_considered", -1);
+    const std::int64_t pruned = stats.body.get_int("runs_pruned", -1);
+    const std::int64_t accepted = stats.body.get_int("runs_accepted", -1);
+    if (mode == colstore::ScanMode::Compressed) {
+      EXPECT_GT(accepted, 0);
+      EXPECT_EQ(considered, pruned + accepted);
+    } else {
+      EXPECT_EQ(considered, 0);
+      EXPECT_EQ(pruned, 0);
+      EXPECT_EQ(accepted, 0);
+    }
+  }
+}
+
 TEST_F(ServerTest, ExtractMatchesBatchInterpret) {
   const auto server = make_server();
   Client client(server->host(), server->port());
