@@ -1,22 +1,27 @@
-// Open-loop load generator for the ivt-serve daemon.
+// Paced load generator for the ivt-serve daemon.
 //
 // Starts an in-process Server over a packed SYN journey, then drives it
-// from C client connections at a fixed target arrival rate (open loop:
-// each sender issues its next request on schedule whether or not the
-// previous one is done, so the server sees offered load, not closed-loop
-// back-pressure). Two passes over the same request mix:
+// from C client connections, each sending its share of the requests on a
+// fixed schedule at the target arrival rate. A sender waits for each
+// reply before it sends the next request, so a slow response delays the
+// requests queued behind it on that connection. Latency is therefore
+// measured from each request's scheduled (due) time, not from its send:
+// timing from the send would hide that queueing delay (coordinated
+// omission). How late each send started is reported as late_ms_p90.
+// Two passes over the same request mix:
 //
 //   cold — caches empty: every state/extract request preads and decodes
 //          its chunks (tier 1) and runs the pipeline (tier 2).
 //   warm — same requests again: state settles in the tier-2 cache and the
-//          serve.chunks_decoded counter stays flat, which is the serving
+//          engine's chunks_decoded count stays flat, which is the serving
 //          layer's whole value proposition.
 //
 // Each pass appends one JSON line to BENCH_serve.json (IVT_BENCH_JSON_DIR
 // overrides the directory) with sustained QPS, client-side latency
-// p50/p90/p99, the chunk-decode delta and cache hit counts. Overloaded
-// responses count separately — under an offered load above capacity the
-// correct behaviour is typed retryable rejection, not collapse.
+// p50/p90/p99 from the due time, late_ms_p90, the chunk-decode delta and
+// cache hit counts. Overloaded responses count separately — under an
+// offered load above capacity the correct behaviour is typed retryable
+// rejection, not collapse.
 //
 // Knobs: IVT_BENCH_SCALE (journey length), IVT_BENCH_SERVE_RPS (offered
 // load per pass, default 200), IVT_BENCH_SERVE_CONNS (connections,
@@ -24,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -75,10 +81,11 @@ struct PassResult {
   std::size_t ok = 0;
   std::size_t overloaded = 0;
   std::size_t failed = 0;
-  obs::Histogram::Data latency;
+  obs::Histogram::Data latency;  ///< completion - due time
+  double late_ms_p90 = 0.0;      ///< send - due time, 90th percentile
 };
 
-/// One open-loop pass: `requests` requests spread over `conns` sender
+/// One paced pass: `requests` requests spread over `conns` sender
 /// threads, each sender pacing its share at the offered rate.
 PassResult run_pass(const std::string& host, std::uint16_t port,
                     const std::string& trace, std::size_t requests,
@@ -87,6 +94,8 @@ PassResult run_pass(const std::string& host, std::uint16_t port,
   std::atomic<std::size_t> ok{0};
   std::atomic<std::size_t> overloaded{0};
   std::atomic<std::size_t> failed{0};
+  // Request i is sent by exactly one sender, which alone writes late_ms[i].
+  std::vector<double> late_ms(requests, 0.0);
 
   const double per_sender_rps = offered_rps / static_cast<double>(conns);
   const auto interval = std::chrono::duration<double>(1.0 / per_sender_rps);
@@ -99,18 +108,21 @@ PassResult run_pass(const std::string& host, std::uint16_t port,
       serve::Client client(host, port);
       const auto start = std::chrono::steady_clock::now();
       for (std::size_t i = s; i < requests; i += conns) {
-        // Open loop: wait until this request's scheduled arrival time.
+        // Wait until this request's scheduled arrival time; when the
+        // previous reply came back after it, the send is late.
         const auto due =
             start + std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
                         interval * static_cast<double>(i / conns));
         std::this_thread::sleep_until(due);
-        const auto t0 = std::chrono::steady_clock::now();
+        late_ms[i] = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - due)
+                         .count();
         try {
           const serve::ClientResponse response =
               client.request(request_body(i, trace));
           const double ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
+                                std::chrono::steady_clock::now() - due)
                                 .count();
           latency.record(ms);
           if (response.ok()) {
@@ -136,12 +148,18 @@ PassResult run_pass(const std::string& host, std::uint16_t port,
   result.overloaded = overloaded.load();
   result.failed = failed.load();
   result.latency = latency.data();
+  if (!late_ms.empty()) {
+    const auto p90 = late_ms.begin() + static_cast<std::ptrdiff_t>(
+                                           (late_ms.size() - 1) * 9 / 10);
+    std::nth_element(late_ms.begin(), p90, late_ms.end());
+    result.late_ms_p90 = *p90;
+  }
   return result;
 }
 
-std::uint64_t chunks_decoded_now() {
-  return obs::Registry::instance().snapshot().counter_or(
-      "serve.chunks_decoded", 0);
+std::uint64_t chunks_decoded_now(serve::Server& server) {
+  return server.query_engine().accounting().chunks_decoded.load(
+      std::memory_order_relaxed);
 }
 
 void emit_pass(bench::JsonLinesEmitter& emitter, const char* pass,
@@ -169,6 +187,7 @@ void emit_pass(bench::JsonLinesEmitter& emitter, const char* pass,
       .add("state_cache_hits", state_cache.hits)
       .add("state_cache_misses", state_cache.misses);
   bench::add_histogram_quantiles(record, "latency_ms", result.latency);
+  record.add("late_ms_p90", result.late_ms_p90);
   bench::add_robustness_fields(record, bench::read_robustness_counters());
   emitter.emit(record);
   std::printf(
@@ -212,10 +231,10 @@ int main() {
 
   bench::JsonLinesEmitter emitter("serve");
 
-  const std::uint64_t decoded_before_cold = chunks_decoded_now();
+  const std::uint64_t decoded_before_cold = chunks_decoded_now(server);
   const PassResult cold = run_pass(server.host(), server.port(), "bench",
                                    requests, conns, offered_rps);
-  const std::uint64_t decoded_after_cold = chunks_decoded_now();
+  const std::uint64_t decoded_after_cold = chunks_decoded_now(server);
   emit_pass(emitter, "cold", cold, offered_rps,
             decoded_after_cold - decoded_before_cold,
             server.query_engine().chunk_cache_stats(),
@@ -223,7 +242,7 @@ int main() {
 
   const PassResult warm = run_pass(server.host(), server.port(), "bench",
                                    requests, conns, offered_rps);
-  const std::uint64_t decoded_after_warm = chunks_decoded_now();
+  const std::uint64_t decoded_after_warm = chunks_decoded_now(server);
   emit_pass(emitter, "warm", warm, offered_rps,
             decoded_after_warm - decoded_after_cold,
             server.query_engine().chunk_cache_stats(),
@@ -238,11 +257,11 @@ int main() {
   {
     serve::Client probe(server.host(), server.port());
     (void)probe.request(request_body(0, "bench"));  // ensure residency
-    const std::uint64_t before = chunks_decoded_now();
+    const std::uint64_t before = chunks_decoded_now(server);
     for (int i = 0; i < 5; ++i) {
       (void)probe.request(request_body(0, "bench"));
     }
-    const std::uint64_t probe_delta = chunks_decoded_now() - before;
+    const std::uint64_t probe_delta = chunks_decoded_now(server) - before;
     std::printf("bench_serve probe: %llu chunks decoded across 5 warm "
                 "state queries (want 0)\n",
                 static_cast<unsigned long long>(probe_delta));

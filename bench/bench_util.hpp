@@ -97,8 +97,7 @@ inline std::string bench_json_dir() {
 /// Dumps the current obs metrics registry to METRICS_<name>.json next to
 /// the BENCH_*.json trajectory (honors IVT_BENCH_JSON_DIR), so a benchmark
 /// run leaves its internal counters (pool, colstore, pipeline stages)
-/// alongside the wall-clock numbers. A no-op registry (IVT_OBS=OFF)
-/// produces an empty-but-valid snapshot.
+/// alongside the wall-clock numbers.
 inline std::string write_metrics_snapshot(const std::string& bench_name) {
   const std::string path = bench_json_dir() + "METRICS_" + bench_name + ".json";
   obs::write_metrics_json(path);
@@ -107,9 +106,9 @@ inline std::string write_metrics_snapshot(const std::string& bench_name) {
 
 /// Robustness counters of the current process, read from the obs metrics
 /// registry: transient-task retries, quarantined .ivc chunks, dropped
-/// pipeline sequences and total recovered errors. All zero on a clean run
-/// and under IVT_OBS=OFF (the registry is then a no-op), so emitting them
-/// into every benchmark row costs one registry snapshot and nothing else.
+/// pipeline sequences and total recovered errors. All zero on a clean run,
+/// so emitting them into every benchmark row costs one registry snapshot
+/// and nothing else.
 struct RobustnessCounters {
   std::uint64_t task_retries = 0;
   std::uint64_t chunks_quarantined = 0;

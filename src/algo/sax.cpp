@@ -107,7 +107,7 @@ std::string sax_word(std::span<const double> xs, std::size_t word_length,
   const std::vector<double> reduced = paa(z, word_length);
   const std::vector<double> bp = sax_breakpoints(alphabet_size);
   std::string word;
-  // Batched shape (IVT_SIMD): branchless region counting, identical to
+  // Batched shape: branchless region counting, identical to
   // the sax_symbol walk for the ascending breakpoint table.
   support::batch::sax_symbols(reduced, bp, word);
   return word;

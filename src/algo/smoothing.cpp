@@ -10,9 +10,9 @@ namespace ivt::algo {
 
 std::vector<double> moving_average(std::span<const double> xs,
                                    std::size_t half_window) {
-  // Batched shape (IVT_SIMD): interior windows run 4 outputs per block
-  // with per-lane left-to-right accumulation — bit-identical to the
-  // scalar fallback by the support::batch contract.
+  // Batched shape: interior windows run 4 outputs per block with
+  // per-lane left-to-right accumulation — bit-identical to the scalar
+  // loop by the support::batch contract.
   return support::batch::moving_average(xs, half_window);
 }
 

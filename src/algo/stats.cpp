@@ -96,7 +96,7 @@ LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {
 
 double residual_sum_squares(std::span<const double> xs,
                             std::span<const double> ys, const LineFit& fit) {
-  // Batched shape (IVT_SIMD): elementwise residual terms vectorize, the
+  // Batched shape: elementwise residual terms vectorize, the
   // accumulation stays in index order — bit-identical to the scalar loop.
   return support::batch::residual_sum_squares(xs, ys, fit.slope,
                                               fit.intercept);

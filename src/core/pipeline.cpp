@@ -140,11 +140,9 @@ MorselRun run_morsels(dataflow::Engine& engine,
 void record_stage_time(std::vector<StageTiming>& times, const char* name,
                        std::uint64_t wall_ns) {
   times.push_back({name, static_cast<double>(wall_ns) / 1e6});
-#if IVT_OBS_ENABLED
   obs::Registry::instance()
       .counter(std::string("pipeline.stage.") + name + ".wall_ns")
       .add(wall_ns);
-#endif
 }
 
 ExecMode parse_exec_mode(const std::string& text) {

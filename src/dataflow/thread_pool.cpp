@@ -160,26 +160,18 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-#if IVT_OBS_ENABLED
       const std::int64_t wait_start = obs::trace_now_ns();
-#endif
       MutexLock lock(mutex_);
       while (!stop_ && queue_.empty()) cv_task_.wait(lock);
       if (queue_.empty()) return;  // stop_ was set and the queue is drained
       task = std::move(queue_.front());
       queue_.pop_front();
-#if IVT_OBS_ENABLED
       OBS_COUNT("pool.idle_ns", obs::trace_now_ns() - wait_start);
-#endif
     }
     OBS_GAUGE_ADD("pool.queue_depth", -1);
-#if IVT_OBS_ENABLED
     const std::int64_t task_start = obs::trace_now_ns();
-#endif
     run_task(task);
-#if IVT_OBS_ENABLED
     OBS_COUNT("pool.busy_ns", obs::trace_now_ns() - task_start);
-#endif
     OBS_COUNT("pool.tasks_executed", 1);
     {
       const MutexLock lock(mutex_);

@@ -37,7 +37,7 @@ namespace ivt::dataflow {
 /// state is IVT_GUARDED_BY(mutex_); the condition variables pair with
 /// mutex_ via explicit predicate loops.
 ///
-/// Observability (when built with IVT_OBS=ON): gauge `pool.queue_depth`,
+/// Observability: gauge `pool.queue_depth`,
 /// counters `pool.tasks_executed`, `pool.tasks_helped` (tasks stolen by
 /// help_until_idle callers), `pool.busy_ns` and `pool.idle_ns` (per-worker
 /// task vs. wait time, summed over workers).

@@ -13,7 +13,6 @@ using support::json_escape;
 namespace {
 
 void count_failure_metrics(const FailureRecord& record) {
-#if IVT_OBS_ENABLED
   obs::Registry& registry = obs::Registry::instance();
   registry.counter("errors.total").add(1);
   registry
@@ -23,9 +22,6 @@ void count_failure_metrics(const FailureRecord& record) {
   if (!record.site.empty()) {
     registry.counter(std::string("errors.site.") + record.site).add(1);
   }
-#else
-  (void)record;
-#endif
 }
 
 }  // namespace

@@ -26,10 +26,6 @@
 // Determinism: each site keeps an evaluation counter; the trigger decision
 // hashes (seed, counter), so the *number* of triggers for n evaluations is
 // a pure function of (recipe, n) — independent of thread scheduling.
-//
-// Building with -DIVT_FAULTFX=OFF (IVT_FAULTFX_ENABLED=0) compiles every
-// site to an inline no-op with unevaluated arguments, and arming becomes a
-// no-op returning 0 — mirroring the IVT_OBS pattern.
 #pragma once
 
 #include <cstddef>
@@ -40,13 +36,7 @@
 #include "errors/error.hpp"
 #include "errors/result.hpp"
 
-#ifndef IVT_FAULTFX_ENABLED
-#define IVT_FAULTFX_ENABLED 1
-#endif
-
 namespace ivt::faultfx {
-
-[[nodiscard]] constexpr bool enabled() { return IVT_FAULTFX_ENABLED != 0; }
 
 enum class Action {
   Error,    ///< throw errors::Error(cat) at the site
@@ -70,14 +60,13 @@ struct FaultSpec {
     const std::string& recipe);
 
 /// Arm one site (replaces any existing spec for the same site).
-/// No-op when compiled out.
 void arm(const FaultSpec& spec);
 
 /// Parse + arm a recipe; throws errors::Error(Category::Spec) on syntax
-/// errors. Returns the number of sites armed (0 when compiled out).
+/// errors. Returns the number of sites armed.
 std::size_t arm(const std::string& recipe);
 
-/// Arm from $IVT_FAULTS; returns 0 when unset, empty or compiled out.
+/// Arm from $IVT_FAULTS; returns 0 when unset or empty.
 /// Throws on a malformed value (a typo'd recipe must not silently run
 /// without faults).
 std::size_t arm_from_env();
@@ -111,8 +100,6 @@ void evaluate(Site& site, const char* name, void* data = nullptr,
 
 }  // namespace ivt::faultfx
 
-#if IVT_FAULTFX_ENABLED
-
 /// Named failpoint: may throw errors::Error or delay when armed.
 #define FAULT_POINT(name)                                              \
   do {                                                                 \
@@ -134,16 +121,3 @@ void evaluate(Site& site, const char* name, void* data = nullptr,
                                        (data_ptr), (size));            \
     }                                                                  \
   } while (0)
-
-#else  // !IVT_FAULTFX_ENABLED
-
-#define FAULT_POINT(name) \
-  do {                    \
-  } while (0)
-
-#define FAULT_POINT_MUTATE(name, data_ptr, size) \
-  do {                                           \
-    (void)sizeof(size);                          \
-  } while (0)
-
-#endif  // IVT_FAULTFX_ENABLED

@@ -418,9 +418,8 @@ std::vector<Finding> check_metric_names(
     if (read_string_concat(tokens, at, &name)) check_name(name, line);
   };
 
-  static const char* kMetricMacros[] = {
-      "OBS_COUNT",        "OBS_GAUGE_ADD",      "OBS_GAUGE_SET",
-      "OBS_HIST_MS",      "OBS_WINDOW_COUNT",   "OBS_WINDOW_HIST_MS"};
+  static const char* kMetricMacros[] = {"OBS_COUNT", "OBS_GAUGE_ADD",
+                                       "OBS_GAUGE_SET", "OBS_HIST_MS"};
   for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (tokens[i].kind != Token::Kind::Ident) continue;
     // Metric macros: the name is the first argument.

@@ -25,8 +25,8 @@
 //                    includes its own header must include it first, so
 //                    every header is verified self-contained.
 //   metric-name      Metric and event names (the string-literal first
-//                    argument of OBS_COUNT / OBS_GAUGE_* / OBS_HIST_MS /
-//                    OBS_WINDOW_*, the third argument of OBS_EVENT /
+//                    argument of OBS_COUNT / OBS_GAUGE_* / OBS_HIST_MS,
+//                    the third argument of OBS_EVENT /
 //                    EventRecord) must be lowercase dotted identifiers
 //                    `seg(.seg)+` under a registered subsystem prefix, so
 //                    dashboards and the Prometheus exposition never see a

@@ -16,11 +16,6 @@
 //   OBS_EVENT(log, Info, "serve.query").kv("op", op).kv("elapsed_ms", ms);
 // The temporary renders its fields and enqueues on destruction. A null or
 // closed log makes the whole statement a cheap no-op.
-//
-// Unlike spans/metrics, the event log stays functional under
-// IVT_OBS_ENABLED=0: it is operational accounting the daemon's operators
-// rely on (who queried what, how slow), not hot-path instrumentation —
-// and it only runs at all when a log file was configured.
 #pragma once
 
 #include <cstdint>

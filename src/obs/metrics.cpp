@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include "obs/window.hpp"
 #include "support/json_escape.hpp"
 
 #include <algorithm>
@@ -33,11 +32,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
-// Not gated on IVT_OBS_ENABLED: directly-owned histograms (the serve
-// request accounting, bench harnesses) are functional state. The
-// zero-cost gate for *instrumentation* is the OBS_HIST_MS macro, which
-// compiles the whole site out; registry lookups obs-off return a shared
-// dummy that nothing reads.
 void Histogram::record(double value) noexcept {
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
@@ -120,8 +114,6 @@ Registry& Registry::instance() {
   return *registry;
 }
 
-Registry::~Registry() = default;
-
 namespace {
 
 template <typename T, typename Make>
@@ -137,70 +129,23 @@ T& find_or_create(std::vector<std::pair<std::string, std::unique_ptr<T>>>& v,
 }  // namespace
 
 Counter& Registry::counter(std::string_view name) {
-#if IVT_OBS_ENABLED
   const support::MutexLock lock(mutex_);
   return find_or_create(counters_, name,
                         [] { return std::make_unique<Counter>(); });
-#else
-  (void)name;
-  static Counter dummy;
-  return dummy;
-#endif
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-#if IVT_OBS_ENABLED
   const support::MutexLock lock(mutex_);
   return find_or_create(gauges_, name,
                         [] { return std::make_unique<Gauge>(); });
-#else
-  (void)name;
-  static Gauge dummy;
-  return dummy;
-#endif
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> bounds) {
-#if IVT_OBS_ENABLED
   const support::MutexLock lock(mutex_);
   return find_or_create(histograms_, name, [&bounds] {
     return std::make_unique<Histogram>(std::move(bounds));
   });
-#else
-  (void)name;
-  static Histogram dummy{std::move(bounds)};
-  return dummy;
-#endif
-}
-
-RollingCounter& Registry::window_counter(std::string_view name,
-                                         std::size_t window_s) {
-#if IVT_OBS_ENABLED
-  const support::MutexLock lock(mutex_);
-  return find_or_create(window_counters_, name, [window_s] {
-    return std::make_unique<RollingCounter>(window_s);
-  });
-#else
-  (void)name;
-  static RollingCounter dummy{window_s};
-  return dummy;
-#endif
-}
-
-RollingHistogram& Registry::window_histogram(std::string_view name,
-                                             std::vector<double> bounds,
-                                             std::size_t window_s) {
-#if IVT_OBS_ENABLED
-  const support::MutexLock lock(mutex_);
-  return find_or_create(window_histograms_, name, [&bounds, window_s] {
-    return std::make_unique<RollingHistogram>(std::move(bounds), window_s);
-  });
-#else
-  (void)name;
-  static RollingHistogram dummy{std::move(bounds), window_s};
-  return dummy;
-#endif
 }
 
 MetricsSnapshot Registry::snapshot() const {
@@ -227,22 +172,6 @@ MetricsSnapshot Registry::snapshot() const {
     e.hist = h->data();
     out.entries.push_back(std::move(e));
   }
-  for (const auto& [name, c] : window_counters_) {
-    MetricsSnapshot::Entry e;
-    e.name = name;
-    e.kind = MetricsSnapshot::Kind::WindowCounter;
-    e.counter = c->value();
-    e.window_seconds = c->window_seconds();
-    out.entries.push_back(std::move(e));
-  }
-  for (const auto& [name, h] : window_histograms_) {
-    MetricsSnapshot::Entry e;
-    e.name = name;
-    e.kind = MetricsSnapshot::Kind::WindowHistogram;
-    e.hist = h->data();
-    e.window_seconds = h->window_seconds();
-    out.entries.push_back(std::move(e));
-  }
   std::sort(out.entries.begin(), out.entries.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
   return out;
@@ -253,8 +182,6 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  for (auto& [name, c] : window_counters_) c->reset();
-  for (auto& [name, h] : window_histograms_) h->reset();
 }
 
 namespace {

@@ -7,14 +7,6 @@
 // Registration (name -> metric lookup) takes a mutex, but instrumentation
 // sites cache the returned reference in a function-local static, so the
 // steady state is one relaxed atomic add per event.
-//
-// Compile-time switch: building with -DIVT_OBS_ENABLED=0 (CMake option
-// IVT_OBS=OFF) compiles every OBS_* instrumentation site out, makes the
-// registry's Counter/Gauge mutators inline no-ops and keeps the registry
-// permanently empty, so instrumented code costs nothing. Directly-owned
-// Histogram / rolling-window objects stay functional in both modes —
-// they back operational state (serve request accounting, bench
-// harnesses), not telemetry.
 #pragma once
 
 #include <atomic>
@@ -27,10 +19,6 @@
 
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
-
-#ifndef IVT_OBS_ENABLED
-#define IVT_OBS_ENABLED 1
-#endif
 
 namespace ivt::obs {
 
@@ -45,11 +33,7 @@ std::size_t shard_index() noexcept;
 class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-#if IVT_OBS_ENABLED
     shards_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -75,20 +59,12 @@ class Counter {
 class Gauge {
  public:
   void add(std::int64_t delta) noexcept {
-#if IVT_OBS_ENABLED
     shards_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
   void set(std::int64_t value) noexcept {
-#if IVT_OBS_ENABLED
     for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
     shards_[0].v.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -146,13 +122,9 @@ class Histogram {
 /// Default histogram edges for durations in milliseconds.
 std::vector<double> default_latency_bounds_ms();
 
-// Rolling-window views (obs/window.hpp); registrable alongside the
-// lifetime metrics. Forward-declared here because window.hpp includes
-// this header for Histogram::Data.
-class RollingCounter;
-class RollingHistogram;
-
-/// Aggregated point-in-time view of every registered metric.
+/// Aggregated point-in-time view of every registered metric. The Window*
+/// kinds carry rolling-window views (obs/window.hpp), which their owners
+/// add to a snapshot before rendering it (the serve metrics op).
 struct MetricsSnapshot {
   enum class Kind { Counter, Gauge, Histogram, WindowCounter,
                     WindowHistogram };
@@ -184,15 +156,6 @@ class Registry {
   /// `bounds` is used on first registration only.
   Histogram& histogram(std::string_view name, std::vector<double> bounds)
       IVT_EXCLUDES(mutex_);
-  /// Rolling-window variants. Like histogram(), the configuration
-  /// (window width, bounds) is used on first registration only — later
-  /// callers get the existing instance regardless of the arguments.
-  RollingCounter& window_counter(std::string_view name, std::size_t window_s)
-      IVT_EXCLUDES(mutex_);
-  RollingHistogram& window_histogram(std::string_view name,
-                                     std::vector<double> bounds,
-                                     std::size_t window_s)
-      IVT_EXCLUDES(mutex_);
 
   [[nodiscard]] MetricsSnapshot snapshot() const IVT_EXCLUDES(mutex_);
 
@@ -202,7 +165,6 @@ class Registry {
 
  private:
   Registry() = default;
-  ~Registry();  // defined in metrics.cpp where Rolling* are complete
 
   // Registration order; the metric objects themselves are internally
   // sharded atomics and are written lock-free once the reference escapes.
@@ -213,10 +175,6 @@ class Registry {
       IVT_GUARDED_BY(mutex_);
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_
       IVT_GUARDED_BY(mutex_);
-  std::vector<std::pair<std::string, std::unique_ptr<RollingCounter>>>
-      window_counters_ IVT_GUARDED_BY(mutex_);
-  std::vector<std::pair<std::string, std::unique_ptr<RollingHistogram>>>
-      window_histograms_ IVT_GUARDED_BY(mutex_);
 };
 
 /// Render a snapshot as a stable-key-order JSON document / aligned text.

@@ -9,11 +9,9 @@
 //   gauges   "subsystem.what"        e.g. pool.queue_depth
 //   events   "subsystem.what"        e.g. serve.query, serve.slow_query
 //
-// Every metric/span macro is an inline no-op (arguments unevaluated) when
-// the build sets IVT_OBS_ENABLED=0, so hot paths can be instrumented
-// freely. OBS_EVENT is the exception: the event log is operational
-// accounting and stays functional in obs-off builds (it already no-ops
-// whenever no log file is configured).
+// A metric site costs one relaxed atomic add after its first call (the
+// registry lookup is cached in a function-local static); a span costs
+// one relaxed atomic load while tracing is off.
 #pragma once
 
 #include "obs/eventlog.hpp"
@@ -38,11 +36,8 @@
 /// enqueued when the temporary dies at the end of the statement:
 ///   OBS_EVENT(log, Warn, "serve.slow_query").kv("op", op).kv("ms", ms);
 /// `log` is an EventLog* (null or closed -> the statement is a no-op).
-/// NOT gated on IVT_OBS_ENABLED — see the header comment.
 #define OBS_EVENT(log, level, name) \
   ::ivt::obs::EventRecord((log), ::ivt::obs::EventLevel::level, (name))
-
-#if IVT_OBS_ENABLED
 
 /// Add `delta` to the counter `name` (name must be a string literal; the
 /// registry lookup happens once per call site).
@@ -75,55 +70,3 @@
             name, ::ivt::obs::default_latency_bounds_ms());       \
     obs_hist_.record(static_cast<double>(value));                 \
   } while (0)
-
-/// Add `delta` to the rolling-window counter `name` (window width in
-/// seconds; first registration wins, like OBS_HIST_MS bounds).
-#define OBS_WINDOW_COUNT(name, window_s, delta)                   \
-  do {                                                            \
-    static ::ivt::obs::RollingCounter& obs_wcounter_ =            \
-        ::ivt::obs::Registry::instance().window_counter(          \
-            name, (window_s));                                    \
-    obs_wcounter_.add(static_cast<std::uint64_t>(delta));         \
-  } while (0)
-
-/// Record `value` into the rolling-window histogram `name` (default
-/// latency bounds, ms; window width in seconds, first registration wins).
-#define OBS_WINDOW_HIST_MS(name, window_s, value)                 \
-  do {                                                            \
-    static ::ivt::obs::RollingHistogram& obs_whist_ =             \
-        ::ivt::obs::Registry::instance().window_histogram(        \
-            name, ::ivt::obs::default_latency_bounds_ms(),        \
-            (window_s));                                          \
-    obs_whist_.record(static_cast<double>(value));                \
-  } while (0)
-
-#else  // !IVT_OBS_ENABLED
-
-#define OBS_COUNT(name, delta) \
-  do {                         \
-    (void)sizeof(delta);       \
-  } while (0)
-#define OBS_GAUGE_ADD(name, delta) \
-  do {                             \
-    (void)sizeof(delta);           \
-  } while (0)
-#define OBS_GAUGE_SET(name, value) \
-  do {                             \
-    (void)sizeof(value);           \
-  } while (0)
-#define OBS_HIST_MS(name, value) \
-  do {                           \
-    (void)sizeof(value);         \
-  } while (0)
-#define OBS_WINDOW_COUNT(name, window_s, delta) \
-  do {                                          \
-    (void)sizeof(window_s);                     \
-    (void)sizeof(delta);                        \
-  } while (0)
-#define OBS_WINDOW_HIST_MS(name, window_s, value) \
-  do {                                            \
-    (void)sizeof(window_s);                       \
-    (void)sizeof(value);                          \
-  } while (0)
-
-#endif  // IVT_OBS_ENABLED

@@ -102,8 +102,6 @@ std::int64_t trace_now_ns() noexcept {
       .count();
 }
 
-#if IVT_OBS_ENABLED
-
 SpanScope::SpanScope(std::string_view name) noexcept {
   if (!tracing_enabled()) return;
   active_ = true;
@@ -131,8 +129,6 @@ SpanScope::~SpanScope() {
   e.tid = ring.tid;
   ring.push(e);
 }
-
-#endif  // IVT_OBS_ENABLED
 
 std::vector<SpanEvent> collect_spans() {
   std::vector<SpanEvent> out;

@@ -10,8 +10,7 @@
 // their threads so a pool can be destroyed before export.
 //
 // Recording is gated on `tracing_enabled()` (default on; a disabled span
-// costs one relaxed atomic load). With IVT_OBS_ENABLED=0 the whole class
-// compiles to an empty object and export returns an empty trace.
+// costs one relaxed atomic load).
 #pragma once
 
 #include <chrono>
@@ -20,10 +19,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef IVT_OBS_ENABLED
-#define IVT_OBS_ENABLED 1
-#endif
 
 namespace ivt::obs {
 
@@ -60,8 +55,7 @@ void set_tracing_enabled(bool enabled) noexcept;
 /// Tag every span recorded by THIS thread from now on with a distributed
 /// node id (coordinator = 0, workers >= 1); -1 clears the tag. Rendered
 /// as "args": {"node": N} in the Chrome export. Thread-local, so sim
-/// nodes sharing one process stay distinguishable. No-op when IVT_OBS is
-/// compiled out.
+/// nodes sharing one process stay distinguishable.
 void set_current_node(std::int32_t node) noexcept;
 [[nodiscard]] std::int32_t current_node() noexcept;
 
@@ -70,22 +64,15 @@ std::int64_t trace_now_ns() noexcept;
 
 class SpanScope {
  public:
-#if IVT_OBS_ENABLED
   explicit SpanScope(std::string_view name) noexcept;
   ~SpanScope();
 
   void set_rows(std::uint64_t rows) noexcept { rows_ = rows; }
   void set_bytes(std::uint64_t bytes) noexcept { bytes_ = bytes; }
-#else
-  explicit SpanScope(std::string_view) noexcept {}
-  void set_rows(std::uint64_t) noexcept {}
-  void set_bytes(std::uint64_t) noexcept {}
-#endif
 
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-#if IVT_OBS_ENABLED
  private:
   std::int64_t start_ns_ = 0;
   std::uint64_t rows_ = kSpanAttrUnset;
@@ -94,7 +81,6 @@ class SpanScope {
   std::int32_t node_ = -1;      ///< captured from set_current_node
   char name_[kSpanNameCapacity + 1];
   bool active_ = false;
-#endif
 };
 
 /// Snapshot of every thread's recorded spans (ring order, then by tid).

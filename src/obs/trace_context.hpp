@@ -14,10 +14,6 @@
 // std::async / thread spawns. Whoever hands work to another thread (the
 // server's worker lambda) re-installs the scope there; that is the whole
 // propagation contract.
-//
-// Unlike span recording, trace contexts stay functional under
-// IVT_OBS_ENABLED=0: minting and echoing the id is request accounting
-// (the event log and response JSON carry it), not instrumentation.
 #pragma once
 
 #include <cstdint>

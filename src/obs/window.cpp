@@ -28,10 +28,6 @@ RollingCounter::Slot& RollingCounter::claim(std::int64_t now_s) noexcept {
   return slot;
 }
 
-// Not gated on IVT_OBS_ENABLED: rolling views are functional when
-// directly owned (serve request accounting) and the explicit-epoch
-// entry points are the test hooks. The zero-cost instrumentation gate
-// is the OBS_WINDOW_* macros, not these methods.
 void RollingCounter::add_at(std::int64_t now_s,
                             std::uint64_t delta) noexcept {
   claim(now_s).count.fetch_add(delta, std::memory_order_relaxed);

@@ -25,10 +25,6 @@
 
 #include "obs/metrics.hpp"
 
-#ifndef IVT_OBS_ENABLED
-#define IVT_OBS_ENABLED 1
-#endif
-
 namespace ivt::obs {
 
 /// Default window width for rolling views, seconds.
@@ -42,9 +38,6 @@ class RollingCounter {
  public:
   explicit RollingCounter(std::size_t window_s = kDefaultWindowSeconds);
 
-  // Not gated on IVT_OBS_ENABLED: directly-owned rolling views (serve
-  // request accounting) are functional state; the zero-cost gate for
-  // instrumentation is the OBS_WINDOW_COUNT macro.
   void add(std::uint64_t delta = 1) noexcept { add_at(steady_now_s(), delta); }
   /// Test hook: record at an explicit second.
   void add_at(std::int64_t now_s, std::uint64_t delta) noexcept;

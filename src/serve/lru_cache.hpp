@@ -22,13 +22,9 @@
 //     shard's budget is not cached (the insert immediately evicts it);
 //     callers still get their shared_ptr, so oversized requests work,
 //     they just never warm the cache.
-//   - Hit/miss/eviction/insertion counts are functional state (the
-//     stats op and the "cached" response flag depend on them), so the
-//     cache keeps its own plain atomics that work with IVT_OBS=OFF.
-//     The same counts are mirrored into the process obs registry
-//     (<name>.hits / .misses / .evictions / .insertions plus a
-//     <name>.bytes gauge) so the Prometheus/metrics exports see cache
-//     effectiveness without serve-specific plumbing.
+//   - Hit/miss/eviction/insertion counts are plain atomics owned by the
+//     instance, their one writer; the stats op and the metrics op read
+//     them through stats().
 #pragma once
 
 #include <atomic>
@@ -37,11 +33,9 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -62,21 +56,14 @@ class ShardedLruCache {
  public:
   static constexpr std::size_t kShards = 8;
 
-  /// `name` prefixes the obs metrics (e.g. "serve.chunk_cache").
   /// `capacity_bytes` is the total budget across all shards.
   /// `num_shards` trades lock concurrency against the largest single
   /// entry the cache can hold (per-shard budget = capacity / shards).
-  ShardedLruCache(std::string name, std::size_t capacity_bytes,
-                  std::size_t num_shards = kShards)
-      : name_(std::move(name)),
-        num_shards_(num_shards == 0 ? 1 : num_shards),
+  explicit ShardedLruCache(std::size_t capacity_bytes,
+                           std::size_t num_shards = kShards)
+      : num_shards_(num_shards == 0 ? 1 : num_shards),
         shard_capacity_(capacity_bytes / num_shards_),
-        shards_(std::make_unique<Shard[]>(num_shards_)),
-        hits_(obs::Registry::instance().counter(name_ + ".hits")),
-        misses_(obs::Registry::instance().counter(name_ + ".misses")),
-        evictions_(obs::Registry::instance().counter(name_ + ".evictions")),
-        insertions_(obs::Registry::instance().counter(name_ + ".insertions")),
-        bytes_gauge_(obs::Registry::instance().gauge(name_ + ".bytes")) {}
+        shards_(std::make_unique<Shard[]>(num_shards_)) {}
 
   /// Look up `key`; nullptr on miss. A hit moves the entry to the front
   /// of its shard's LRU list.
@@ -93,10 +80,8 @@ class ShardedLruCache {
     }
     if (out != nullptr) {
       hit_count_.fetch_add(1, std::memory_order_relaxed);
-      hits_.add(1);
     } else {
       miss_count_.fetch_add(1, std::memory_order_relaxed);
-      misses_.add(1);
     }
     return out;
   }
@@ -107,12 +92,10 @@ class ShardedLruCache {
            std::size_t bytes) {
     Shard& shard = shard_for(key);
     std::uint64_t evicted = 0;
-    std::int64_t byte_delta = 0;
     {
       const support::MutexLock lock(shard.mutex);
       const auto it = shard.index.find(key);
       if (it != shard.index.end()) {
-        byte_delta -= static_cast<std::int64_t>(it->second->bytes);
         shard.bytes -= it->second->bytes;
         shard.lru.erase(it->second);
         shard.index.erase(it);
@@ -120,37 +103,29 @@ class ShardedLruCache {
       shard.lru.push_front(Entry{key, std::move(value), bytes});
       shard.index.emplace(key, shard.lru.begin());
       shard.bytes += bytes;
-      byte_delta += static_cast<std::int64_t>(bytes);
       while (shard.bytes > shard_capacity_ && !shard.lru.empty()) {
         const Entry& victim = shard.lru.back();
         shard.bytes -= victim.bytes;
-        byte_delta -= static_cast<std::int64_t>(victim.bytes);
         shard.index.erase(victim.key);
         shard.lru.pop_back();
         ++evicted;
       }
     }
     insertion_count_.fetch_add(1, std::memory_order_relaxed);
-    insertions_.add(1);
     if (evicted > 0) {
       eviction_count_.fetch_add(evicted, std::memory_order_relaxed);
-      evictions_.add(evicted);
     }
-    bytes_gauge_.add(byte_delta);
   }
 
   /// Drop every entry (admin/testing; readers holding shared_ptrs keep
   /// their values).
   void clear() {
-    std::int64_t byte_delta = 0;
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const support::MutexLock lock(shards_[s].mutex);
-      byte_delta -= static_cast<std::int64_t>(shards_[s].bytes);
       shards_[s].bytes = 0;
       shards_[s].lru.clear();
       shards_[s].index.clear();
     }
-    bytes_gauge_.add(byte_delta);
   }
 
   [[nodiscard]] LruCacheStats stats() const {
@@ -167,7 +142,6 @@ class ShardedLruCache {
     return out;
   }
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t capacity_bytes() const {
     return shard_capacity_ * num_shards_;
   }
@@ -192,21 +166,13 @@ class ShardedLruCache {
     return shards_[Hash{}(key) % num_shards_];
   }
 
-  const std::string name_;
   const std::size_t num_shards_;
   const std::size_t shard_capacity_;
   const std::unique_ptr<Shard[]> shards_;
-  // Functional counts (stats() / the "cached" flag); see file comment.
   std::atomic<std::uint64_t> hit_count_{0};
   std::atomic<std::uint64_t> miss_count_{0};
   std::atomic<std::uint64_t> eviction_count_{0};
   std::atomic<std::uint64_t> insertion_count_{0};
-  // Registry mirrors for the metrics exports (no-ops with IVT_OBS=OFF).
-  obs::Counter& hits_;
-  obs::Counter& misses_;
-  obs::Counter& evictions_;
-  obs::Counter& insertions_;
-  obs::Gauge& bytes_gauge_;
 };
 
 }  // namespace ivt::serve

@@ -168,10 +168,10 @@ struct QueryEngine::RequestContext {
 
 QueryEngine::QueryEngine(const TraceCatalog& catalog, QueryEngineConfig config)
     : catalog_(&catalog),
-      chunk_cache_("serve.chunk_cache", config.chunk_cache_bytes),
+      chunk_cache_(config.chunk_cache_bytes),
       // Single shard: tier-2 holds a handful of large tables, and a
       // sharded budget would reject any state bigger than capacity/8.
-      state_cache_("serve.state_cache", config.state_cache_bytes, 1),
+      state_cache_(config.state_cache_bytes, 1),
       scan_mode_(config.scan_mode),
       accounting_(config.stats_window_s) {}
 
@@ -284,10 +284,6 @@ std::string render_cache_stats(const LruCacheStats& stats,
 }  // namespace
 
 QueryResult QueryEngine::op_stats(RequestContext& ctx) {
-  // Everything operational here reads from the engine-owned accounting —
-  // it is functional state, so the stats op reports the same numbers with
-  // IVT_OBS=OFF. Only spans/events_dropped come from the obs layer (they
-  // count telemetry that does not exist in that configuration).
   const auto relaxed = [](const std::atomic<std::uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
   };
@@ -348,11 +344,59 @@ QueryResult QueryEngine::op_stats(RequestContext& ctx) {
 }
 
 QueryResult QueryEngine::op_metrics(RequestContext& ctx) {
-  // Prometheus text exposition of the whole registry as the payload; the
-  // JSON body is just the envelope. `ivt query --op metrics --out -` is a
-  // scrape.
-  std::string payload =
-      obs::to_prometheus(obs::Registry::instance().snapshot());
+  // Prometheus text exposition as the payload; the JSON body is just the
+  // envelope. `ivt query --op metrics --out -` is a scrape. The registry
+  // holds what the whole process recorded; the serve.* request and cache
+  // numbers are this engine's own, so each server reports its counts and
+  // window width.
+  using Kind = obs::MetricsSnapshot::Kind;
+  obs::MetricsSnapshot snapshot = obs::Registry::instance().snapshot();
+  std::vector<obs::MetricsSnapshot::Entry>& entries = snapshot.entries;
+  const auto add = [&entries](std::string name, Kind kind) -> auto& {
+    obs::MetricsSnapshot::Entry& e = entries.emplace_back();
+    e.name = std::move(name);
+    e.kind = kind;
+    return e;
+  };
+  // A request counter appears from its first count, as a registry counter
+  // appears from its first add; the cache counters, the gauges and the
+  // latency views are always there.
+  for (const auto& [name, value] :
+       {std::pair{"serve.requests_total", &accounting_.requests_total},
+        std::pair{"serve.requests_failed", &accounting_.requests_failed},
+        std::pair{"serve.requests_overloaded",
+                  &accounting_.requests_overloaded},
+        std::pair{"serve.chunks_decoded", &accounting_.chunks_decoded},
+        std::pair{"serve.chunks_loaded", &accounting_.chunks_loaded}}) {
+    const std::uint64_t count = value->load(std::memory_order_relaxed);
+    if (count > 0) add(name, Kind::Counter).counter = count;
+  }
+  add("serve.in_flight", Kind::Gauge).gauge =
+      accounting_.in_flight.load(std::memory_order_relaxed);
+  add("serve.request_ms", Kind::Histogram).hist =
+      accounting_.latency_ms.data();
+  const std::int64_t now_s = obs::steady_now_s();
+  obs::MetricsSnapshot::Entry& window_ms =
+      add("serve.request_window_ms", Kind::WindowHistogram);
+  window_ms.hist = accounting_.latency_window_ms.data_at(now_s);
+  window_ms.window_seconds = accounting_.latency_window_ms.window_seconds();
+  obs::MetricsSnapshot::Entry& window_count =
+      add("serve.requests_window", Kind::WindowCounter);
+  window_count.counter = accounting_.requests_window.value_at(now_s);
+  window_count.window_seconds = accounting_.requests_window.window_seconds();
+  for (const auto& [name, stats] :
+       {std::pair{std::string("serve.chunk_cache"), chunk_cache_stats()},
+        std::pair{std::string("serve.state_cache"), state_cache_stats()}}) {
+    add(name + ".hits", Kind::Counter).counter = stats.hits;
+    add(name + ".misses", Kind::Counter).counter = stats.misses;
+    add(name + ".evictions", Kind::Counter).counter = stats.evictions;
+    add(name + ".insertions", Kind::Counter).counter = stats.insertions;
+    add(name + ".bytes", Kind::Gauge).gauge =
+        static_cast<std::int64_t>(stats.bytes);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  std::string payload = obs::to_prometheus(snapshot);
   json::Object body = ctx.base();
   body.add("bytes", static_cast<std::uint64_t>(payload.size()))
       .add("payload_format", "prometheus");
@@ -377,7 +421,6 @@ colstore::ChunkSource QueryEngine::cached_source(RequestContext& ctx,
             }
             // Every fetch feeds exactly one chunk decode.
             accounting_.chunks_decoded.fetch_add(1, std::memory_order_relaxed);
-            OBS_COUNT("serve.chunks_decoded", 1);
             ++ctx.chunks_decoded;
             const colstore::ByteSpan view{
                 reinterpret_cast<const std::uint8_t*>(bytes->data()),

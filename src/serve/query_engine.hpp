@@ -37,7 +37,7 @@
 //     (state + K_rep tables), keyed (trace, signal set, rate threshold).
 //     Hits skip scan, decode and the whole pipeline — repeated state and
 //     mine queries settle here, which is what makes the warm-path
-//     "serve.chunks_decoded" counter go flat.
+//     chunks_decoded count go flat.
 #pragma once
 
 #include <atomic>
@@ -66,10 +66,8 @@ struct QueryEngineConfig {
   /// are byte-identical; v1 traces always decode.
   colstore::ScanMode scan_mode = colstore::ScanMode::Decoded;
   /// Window width (seconds) for the rolling latency / request-count
-  /// views reported by the stats op (engine-owned, so per-server). The
-  /// *registry mirrors* ("serve.request_window_ms" etc., what `--op
-  /// metrics` exposes) fix their width at first registration, so servers
-  /// sharing a process should still agree on it.
+  /// views reported by the stats and metrics ops (engine-owned, so
+  /// per-server).
   std::size_t stats_window_s = 60;
 };
 
@@ -82,12 +80,9 @@ struct StateEntry {
 using StateCache = ShardedLruCache<std::string, StateEntry>;
 
 /// Daemon-level request accounting, updated by the server's connection
-/// loop and reported by the stats op. Like the cache counts and the
-/// event log, this is functional state, not telemetry: it works with
-/// IVT_OBS=OFF (the OBS_* macro sites only mirror the same numbers into
-/// the process registry for the Prometheus/Chrome exports). The rolling
-/// views are engine-owned, so every server gets exactly its configured
-/// window width regardless of what else registered in the process.
+/// loop and reported by the stats and metrics ops. It is the one writer
+/// of these numbers, and it belongs to one server: two servers in one
+/// process each report their own counts and window width.
 struct RequestAccounting {
   explicit RequestAccounting(std::size_t window_s)
       : requests_window(window_s),
@@ -103,6 +98,7 @@ struct RequestAccounting {
   std::atomic<std::uint64_t> runs_considered{0};
   std::atomic<std::uint64_t> runs_pruned{0};
   std::atomic<std::uint64_t> runs_accepted{0};
+  /// Admitted requests executing now; the server's admission gate.
   std::atomic<std::int64_t> in_flight{0};
   obs::Histogram latency_ms{obs::default_latency_bounds_ms()};
   obs::RollingCounter requests_window;

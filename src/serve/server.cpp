@@ -262,7 +262,6 @@ void Server::serve_connection(int fd) {
     }
     const std::uint64_t request_id =
         next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    OBS_COUNT("serve.requests_total", 1);
     const auto start = std::chrono::steady_clock::now();
     AccessInfo access;
     const Frame response = handle_request(request, request_id, access);
@@ -270,16 +269,7 @@ void Server::serve_connection(int fd) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
-    // Functional accounting first (count + both latency views — what the
-    // stats op reports, in any build mode), then the registry mirrors for
-    // the Prometheus/metrics exports. The mirrors' window width is fixed
-    // at first registration (one daemon per process, so config agrees).
     engine_.accounting().record_request(elapsed_ms);
-    OBS_HIST_MS("serve.request_ms", elapsed_ms);
-    OBS_WINDOW_HIST_MS("serve.request_window_ms",
-                       config_.query.stats_window_s, elapsed_ms);
-    OBS_WINDOW_COUNT("serve.requests_window", config_.query.stats_window_s,
-                     1);
 
     if (event_log_ != nullptr) {
       // The per-query access record: how the request was served. One
@@ -363,19 +353,16 @@ Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
 
     // Admission gate: claim a slot or answer Overloaded immediately.
     // fetch_add-then-check keeps the gate race-free without a lock.
-    if (in_flight_.fetch_add(1, std::memory_order_acq_rel) >=
-        max_in_flight_) {
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      engine_.accounting().requests_overloaded.fetch_add(
-          1, std::memory_order_relaxed);
-      OBS_COUNT("serve.requests_overloaded", 1);
+    RequestAccounting& accounting = engine_.accounting();
+    if (accounting.in_flight.fetch_add(1, std::memory_order_acq_rel) >=
+        static_cast<std::int64_t>(max_in_flight_)) {
+      accounting.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+      accounting.requests_overloaded.fetch_add(1, std::memory_order_relaxed);
       IVT_THROW(errors::Category::Overloaded,
                 "serve: in-flight window full (" +
                     std::to_string(max_in_flight_) +
                     " requests executing) — retry after a backoff");
     }
-    engine_.accounting().in_flight.fetch_add(1, std::memory_order_relaxed);
-    OBS_GAUGE_ADD("serve.in_flight", 1);
 
     // The worker marshals failures by value instead of via
     // promise.set_exception: rethrowing an exception_ptr on the reader
@@ -418,18 +405,12 @@ Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
           max_in_flight_);
       outcome = future.get();
     } catch (...) {
-      in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      engine_.accounting().in_flight.fetch_sub(1, std::memory_order_relaxed);
-      OBS_GAUGE_ADD("serve.in_flight", -1);
+      accounting.in_flight.fetch_sub(1, std::memory_order_acq_rel);
       throw;
     }
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    engine_.accounting().in_flight.fetch_sub(1, std::memory_order_relaxed);
-    OBS_GAUGE_ADD("serve.in_flight", -1);
+    accounting.in_flight.fetch_sub(1, std::memory_order_acq_rel);
     if (!outcome.ok) {
-      engine_.accounting().requests_failed.fetch_add(
-          1, std::memory_order_relaxed);
-      OBS_COUNT("serve.requests_failed", 1);
+      accounting.requests_failed.fetch_add(1, std::memory_order_relaxed);
       access.error_category = errors::to_string(outcome.category);
       return error_frame(request_id, op, outcome.category, outcome.message,
                          trace_id);
@@ -441,20 +422,17 @@ Frame Server::handle_request(const Frame& request, std::uint64_t request_id,
   } catch (const errors::Error& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
-    OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(e.category());
     return error_frame(request_id, op, e.category(), e.describe(), trace_id);
   } catch (const std::invalid_argument& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
-    OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(errors::Category::Spec);
     return error_frame(request_id, op, errors::Category::Spec, e.what(),
                        trace_id);
   } catch (const std::exception& e) {
     engine_.accounting().requests_failed.fetch_add(1,
                                                    std::memory_order_relaxed);
-    OBS_COUNT("serve.requests_failed", 1);
     access.error_category = errors::to_string(errors::Category::Internal);
     return error_frame(request_id, op, errors::Category::Internal, e.what(),
                        trace_id);

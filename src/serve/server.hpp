@@ -14,7 +14,8 @@
 //     pipeline on an *inline* engine (see serve/query_engine.hpp), so
 //     pool workers never nest pools.
 //
-// Admission control: an atomic in-flight counter gates the worker pool.
+// Admission control: the engine's in-flight count
+// (RequestAccounting::in_flight) gates the worker pool.
 // When `max_in_flight` requests are already executing, the next request
 // is rejected immediately with a typed, retryable Overloaded error —
 // clients back off and retry; in-budget requests are unaffected. The
@@ -144,7 +145,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> next_request_id_{0};
-  std::atomic<std::size_t> in_flight_{0};
   std::thread accept_thread_;
 
   support::Mutex mutex_{support::LockRank::k_serve_Server_mutex_};

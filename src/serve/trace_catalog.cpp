@@ -98,7 +98,6 @@ std::shared_ptr<const std::string> TraceCatalog::chunk_bytes(
     }
     done += static_cast<std::size_t>(got);
   }
-  OBS_COUNT("serve.chunks_loaded", 1);
   OBS_COUNT("serve.chunk_bytes_loaded", info.encoded_bytes);
   cache.put(key, bytes, bytes->size());
   return bytes;

@@ -1,26 +1,22 @@
 // SIMD-friendly batched kernel shapes shared by the colstore decoders and
 // the branch-α hot loops (smoothing, SWAB error terms, SAX binning).
 //
-// Every kernel here has two implementations selected by IVT_SIMD
-// (CMake option, default ON):
+// Each kernel restructures its loop so the compiler's auto-vectorizer can
+// work on it: block-transposed window sums (moving average),
+// carry-unrolled prefix sums (delta decode), elementwise residual
+// evaluation split from the ordered reduction (SWAB), and branchless
+// breakpoint counting (SAX).
 //
-//   - the batched shape restructures the loop so the compiler's
-//     auto-vectorizer can work on it: block-transposed window sums
-//     (moving average), carry-unrolled prefix sums (delta decode),
-//     elementwise residual evaluation split from the ordered reduction
-//     (SWAB), and branchless breakpoint counting (SAX);
-//   - the IVT_SIMD=OFF fallback is the plain scalar reference loop.
-//
-// Bit-exactness contract: both shapes perform the same floating-point
-// operations in the same per-output order — vectorization only runs
-// independent outputs (or independent elementwise terms) side by side,
-// never reassociates a reduction — so results are bit-identical between
-// the two modes and the differential harness can compare state CSVs
-// across IVT_SIMD=ON/OFF builds. Integer kernels are order-independent
-// and exact by construction. No intrinsics: plain C++ the vectorizer
-// recognizes, so every target the toolchain supports gets the win and
-// IVT_SIMD=OFF is a build-time contract, not a separate code path to
-// port.
+// Bit-exactness contract: every kernel performs the same floating-point
+// operations in the same per-output order as the plain scalar loop —
+// vectorization only runs independent outputs (or independent
+// elementwise terms) side by side, never reassociates a reduction — so
+// results are bit-identical to it, except which payload a NaN sum carries
+// where two NaNs of different payloads meet (IEEE 754 leaves that open).
+// tests/support/batch_test.cpp keeps the scalar loops as the oracle and
+// compares bit for bit. Integer kernels are order-independent and exact
+// by construction. No intrinsics: plain C++ the vectorizer recognizes, so
+// every target the toolchain supports gets the win.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +25,13 @@
 #include <string>
 #include <vector>
 
-#ifndef IVT_SIMD_ENABLED
-#define IVT_SIMD_ENABLED 1
-#endif
-
 namespace ivt::support::batch {
-
-inline constexpr bool kSimdEnabled = IVT_SIMD_ENABLED != 0;
 
 /// In-place inclusive prefix sum with wrapping two's-complement
 /// arithmetic (the delta-decode accumulator of the .ivc t_ns column;
 /// wrapping keeps adversarial deltas well-defined). Integer, therefore
-/// exact in both shapes.
+/// exact.
 inline void prefix_sum_wrapping(std::int64_t* values, std::size_t n) {
-#if IVT_SIMD_ENABLED
   // Carry-unrolled blocks of 4: the in-block sums are independent of the
   // running carry, so the compiler can schedule/vectorize them while the
   // serial dependency advances once per block instead of once per lane.
@@ -67,18 +56,11 @@ inline void prefix_sum_wrapping(std::int64_t* values, std::size_t n) {
     carry += static_cast<std::uint64_t>(values[i]);
     values[i] = static_cast<std::int64_t>(carry);
   }
-#else
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    carry += static_cast<std::uint64_t>(values[i]);
-    values[i] = static_cast<std::int64_t>(carry);
-  }
-#endif
 }
 
 /// Centered moving average with clamped edges: out[i] = mean of
 /// xs[i-half .. i+half] intersected with the range. Per-output summation
-/// is left-to-right in both shapes.
+/// is left-to-right.
 inline std::vector<double> moving_average(std::span<const double> xs,
                                           std::size_t half_window) {
   std::vector<double> out;
@@ -95,7 +77,6 @@ inline std::vector<double> moving_average(std::span<const double> xs,
     for (std::size_t j = lo; j < hi; ++j) sum += xs[j];
     return sum / static_cast<double>(hi - lo);
   };
-#if IVT_SIMD_ENABLED
   out.resize(n);
   const std::size_t window = 2 * half_window + 1;
   // Outputs in [first, last) have full (unclamped) windows; everything
@@ -121,21 +102,17 @@ inline std::vector<double> moving_average(std::span<const double> xs,
     }
   }
   for (; b < last; ++b) out[b] = scalar_at(b);
-#else
-  for (std::size_t i = 0; i < xs.size(); ++i) out.push_back(scalar_at(i));
-#endif
   return out;
 }
 
 /// Σ (ys[i] - (slope·xs[i] + intercept))² over the first n pairs. The
 /// residual terms are elementwise-independent (vectorizable); the
-/// accumulation is strictly in index order in both shapes.
+/// accumulation is strictly in index order.
 inline double residual_sum_squares(std::span<const double> xs,
                                    std::span<const double> ys, double slope,
                                    double intercept) {
   const std::size_t n = xs.size() < ys.size() ? xs.size() : ys.size();
   double rss = 0.0;
-#if IVT_SIMD_ENABLED
   double sq[64];
   std::size_t i = 0;
   while (i < n) {
@@ -147,12 +124,6 @@ inline double residual_sum_squares(std::span<const double> xs,
     for (std::size_t k = 0; k < block; ++k) rss += sq[k];
     i += block;
   }
-#else
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = ys[i] - (slope * xs[i] + intercept);
-    rss += r * r;
-  }
-#endif
   return rss;
 }
 
@@ -165,7 +136,6 @@ inline void sax_symbols(std::span<const double> values,
                         std::span<const double> breakpoints,
                         std::string& out) {
   out.reserve(out.size() + values.size());
-#if IVT_SIMD_ENABLED
   const std::size_t nb = breakpoints.size();
   for (const double v : values) {
     unsigned region = 0;
@@ -174,15 +144,6 @@ inline void sax_symbols(std::span<const double> values,
     }
     out.push_back(static_cast<char>('a' + region));
   }
-#else
-  for (const double v : values) {
-    std::size_t region = 0;
-    while (region < breakpoints.size() && v >= breakpoints[region]) {
-      ++region;
-    }
-    out.push_back(static_cast<char>('a' + region));
-  }
-#endif
 }
 
 }  // namespace ivt::support::batch

@@ -143,7 +143,6 @@ TEST_F(FaultCliTest, BadOnErrorValueIsUsageError) {
 }
 
 TEST_F(FaultCliTest, EnvRecipeInjectsFaultsIntoCleanRun) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   // Deterministic recipe on a CLEAN trace: every chunk decode fails, the
   // quarantine policy drops them all and still completes with exit 4.
   setenv("IVT_FAULTS", "colstore.decode_chunk:error:every=1", 1);
@@ -162,7 +161,6 @@ TEST_F(FaultCliTest, EnvRecipeInjectsFaultsIntoCleanRun) {
 }
 
 TEST_F(FaultCliTest, EnvRecipeUnderFailPolicyExits3) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   setenv("IVT_FAULTS", "colstore.decode_chunk:error:every=1", 1);
   ::testing::internal::CaptureStderr();
   const int rc = run({"run", "--trace", ivc_->c_str(), "--catalog",
@@ -173,7 +171,6 @@ TEST_F(FaultCliTest, EnvRecipeUnderFailPolicyExits3) {
 }
 
 TEST_F(FaultCliTest, MalformedEnvRecipeAborts) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   // A typo'd IVT_FAULTS must not silently run without faults.
   setenv("IVT_FAULTS", "colstore.decode_chunk:explode", 1);
   ::testing::internal::CaptureStderr();
@@ -185,7 +182,6 @@ TEST_F(FaultCliTest, MalformedEnvRecipeAborts) {
 }
 
 TEST_F(FaultCliTest, SequenceFaultsDegradeToDroppedSequences) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   setenv("IVT_FAULTS", "pipeline.sequence:error:every=2", 1);
   ::testing::internal::CaptureStdout();
   ::testing::internal::CaptureStderr();

@@ -100,8 +100,7 @@ std::string* DistFaultTest::trace_path_ = nullptr;
 TEST_F(DistFaultTest, DroppedRegistrationsAreRetriedUntilAccepted) {
   // Every other registration attempt dies coordinator-side. Workers must
   // absorb it with jittered backoff and the run must not lose a node.
-  ASSERT_GT(faultfx::arm("dist.register:error:0.5:seed=5"), 0u)
-      << "faultfx compiled out — the fault lane cannot run";
+  ASSERT_GT(faultfx::arm("dist.register:error:0.5:seed=5"), 0u);
   dist::DistRunConfig dcfg = dist_config();
   dcfg.nodes = 3;
   const testdiff::RunOutcome dist = dist_outcome(dcfg);

@@ -1,6 +1,6 @@
 // Failpoint injection unit tests: recipe parsing, arming/disarming,
 // deterministic trigger counts, every=N cadence, corrupt-action bit
-// flips, injected error categories, and the IVT_FAULTFX=OFF contract.
+// flips and injected error categories.
 #include "faultfx/faultfx.hpp"
 
 #include <gtest/gtest.h>
@@ -74,14 +74,6 @@ TEST_F(FaultfxTest, ParseErrorsAreTypedSpecErrors) {
 
 TEST_F(FaultfxTest, ArmTriggerDisarm) {
   EXPECT_FALSE(any_armed());
-  if (!enabled()) {
-    // Compiled out: arming is a no-op and sites stay inert.
-    EXPECT_EQ(arm("faultfx.test.always:error"), 0u);
-    EXPECT_FALSE(any_armed());
-    FAULT_POINT("faultfx.test.always");
-    EXPECT_EQ(triggered("faultfx.test.always"), 0u);
-    return;
-  }
   EXPECT_EQ(arm("faultfx.test.always:error"), 1u);
   EXPECT_TRUE(any_armed());
   try {
@@ -102,7 +94,6 @@ TEST_F(FaultfxTest, ArmTriggerDisarm) {
 }
 
 TEST_F(FaultfxTest, InjectedCategoryIsConfigurable) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   arm("faultfx.test.cat:error:cat=resource");
   try {
     FAULT_POINT("faultfx.test.cat");
@@ -114,7 +105,6 @@ TEST_F(FaultfxTest, InjectedCategoryIsConfigurable) {
 }
 
 TEST_F(FaultfxTest, EveryNTriggersExactly) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   arm("faultfx.test.every:error:every=3");
   std::size_t thrown = 0;
   for (int i = 0; i < 9; ++i) {
@@ -130,7 +120,6 @@ TEST_F(FaultfxTest, EveryNTriggersExactly) {
 }
 
 TEST_F(FaultfxTest, ProbabilisticTriggerCountIsDeterministic) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   // The trigger decision is a pure function of (seed, evaluation index),
   // so two identical runs produce identical trigger counts.
   const auto run_once = [](const char* site_name, const std::string& recipe) {
@@ -156,7 +145,6 @@ TEST_F(FaultfxTest, ProbabilisticTriggerCountIsDeterministic) {
 }
 
 TEST_F(FaultfxTest, CorruptFlipsExactlyOneBit) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   arm("faultfx.test.corrupt:corrupt:seed=9");
   std::vector<std::uint8_t> buf(32, 0x00);
   FAULT_POINT_MUTATE("faultfx.test.corrupt", buf.data(), buf.size());
@@ -169,7 +157,6 @@ TEST_F(FaultfxTest, CorruptFlipsExactlyOneBit) {
 }
 
 TEST_F(FaultfxTest, CorruptIsInertWithoutBuffer) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   arm("faultfx.test.nobuf:corrupt");
   // FAULT_POINT passes no buffer; the corrupt action must not crash.
   FAULT_POINT("faultfx.test.nobuf");
@@ -177,7 +164,6 @@ TEST_F(FaultfxTest, CorruptIsInertWithoutBuffer) {
 }
 
 TEST_F(FaultfxTest, ZeroProbabilityNeverTriggers) {
-  if (!enabled()) GTEST_SKIP() << "faultfx compiled out";
   arm("faultfx.test.zero:error:0.0");
   for (int i = 0; i < 100; ++i) FAULT_POINT("faultfx.test.zero");
   EXPECT_EQ(triggered("faultfx.test.zero"), 0u);

@@ -4,7 +4,7 @@
 // clears exactly one of the latter.
 void instrumented(void* log, void* log2) {
   OBS_COUNT("serve.Requests_Total", 1);             // grammar: uppercase
-  OBS_WINDOW_HIST_MS("frob.latency_ms", 60, 1.0);   // prefix: frob
+  OBS_HIST_MS("frob.latency_ms", 1.0);              // prefix: frob
   OBS_GAUGE_ADD("pool.queue_depth", 1);             // ok: built-in prefix
   OBS_EVENT(log, Info, "widget.query").kv("op", "x");  // prefix: widget
   OBS_HIST_MS("colstore.decode_ms", 2.0);  // prefix, unless registered

@@ -1,6 +1,5 @@
 // Structured JSON-lines event log: record rendering, flush semantics and
-// the never-block drop accounting. The log is operational accounting and
-// stays functional in obs-off builds, so nothing here is gated.
+// the never-block drop accounting.
 #include "obs/eventlog.hpp"
 
 #include <gtest/gtest.h>

@@ -10,8 +10,6 @@
 namespace ivt::obs {
 namespace {
 
-#if IVT_OBS_ENABLED
-
 TEST(MetricsTest, ConcurrentCounterIncrementsSumExactly) {
   Counter& counter = Registry::instance().counter("test.concurrent_adds");
   counter.reset();
@@ -109,22 +107,6 @@ TEST(MetricsTest, ResetZeroesButKeepsRegistration) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->counter, 0u);
 }
-
-#else  // IVT_OBS_ENABLED == 0
-
-TEST(MetricsTest, DisabledBuildKeepsRegistryEmpty) {
-  Registry::instance().counter("test.off_counter").add(7);
-  Registry::instance().gauge("test.off_gauge").add(7);
-  Registry::instance().histogram("test.off_hist", {1.0}).record(0.5);
-  const MetricsSnapshot snap = Registry::instance().snapshot();
-  EXPECT_TRUE(snap.entries.empty());
-  EXPECT_EQ(snap.counter_or("test.off_counter", 0), 0u);
-  // The JSON emitter must still produce a valid (empty) document.
-  const testjson::Value doc = testjson::parse(to_json(snap));
-  EXPECT_TRUE(doc.at("metrics").object().empty());
-}
-
-#endif
 
 }  // namespace
 }  // namespace ivt::obs

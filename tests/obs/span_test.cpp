@@ -20,8 +20,6 @@ const testjson::Value* find_event(const testjson::Array& events,
   return nullptr;
 }
 
-#if IVT_OBS_ENABLED
-
 TEST(SpanTest, NestedSpansRecordDepthAndDuration) {
   reset_spans();
   {
@@ -127,23 +125,6 @@ TEST(SpanTest, RingWrapCountsDroppedSpans) {
   EXPECT_TRUE(collect_spans().empty());
   EXPECT_EQ(dropped_span_count(), 0u);
 }
-
-#else  // IVT_OBS_ENABLED == 0
-
-TEST(SpanTest, DisabledBuildRecordsNothing) {
-  reset_spans();
-  {
-    SpanScope outer("test.outer");
-    outer.set_rows(100);
-    OBS_SPAN("test.macro");
-  }
-  EXPECT_TRUE(collect_spans().empty());
-  // Export still yields a valid, empty Chrome trace document.
-  const testjson::Value doc = testjson::parse(chrome_trace_json());
-  EXPECT_TRUE(doc.at("traceEvents").array().empty());
-}
-
-#endif
 
 }  // namespace
 }  // namespace ivt::obs

@@ -1,7 +1,5 @@
 // Trace-context propagation primitives: minting, hex rendering/parsing
-// and the thread-local install/restore scope. These stay functional in
-// obs-off builds (the context is operational plumbing, not telemetry),
-// so nothing here is gated on IVT_OBS_ENABLED.
+// and the thread-local install/restore scope.
 #include "obs/trace_context.hpp"
 
 #include <gtest/gtest.h>

@@ -1,7 +1,5 @@
 // Rolling-window metric views. All tests drive the clock through the
-// *_at hooks — no sleeping — so they are deterministic and fast. The
-// explicit-epoch entry points are not gated on IVT_OBS_ENABLED (only the
-// wall-clock wrappers are), so these tests run in obs-off builds too.
+// *_at hooks — no sleeping — so they are deterministic and fast.
 #include "obs/window.hpp"
 
 #include <gtest/gtest.h>

@@ -26,7 +26,7 @@ std::shared_ptr<const int> val(int v) {
 }
 
 TEST(LruCacheTest, MissThenHit) {
-  OneShardCache cache("test.cache_miss_hit", 8 * 100);
+  OneShardCache cache(8 * 100);
   EXPECT_EQ(cache.get("a"), nullptr);
   cache.put("a", val(1), 10);
   const auto hit = cache.get("a");
@@ -43,7 +43,7 @@ TEST(LruCacheTest, MissThenHit) {
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   // Shard budget = 8 * 100 / 8 = 100 bytes; three 40-byte entries
   // overflow it by 20, so exactly the least recently used one must go.
-  OneShardCache cache("test.cache_lru_order", 8 * 100);
+  OneShardCache cache(8 * 100);
   cache.put("a", val(1), 40);
   cache.put("b", val(2), 40);
   // Touch "a": "b" becomes the LRU entry.
@@ -59,7 +59,7 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCacheTest, ByteAccountingAcrossReplace) {
-  OneShardCache cache("test.cache_replace", 8 * 100);
+  OneShardCache cache(8 * 100);
   cache.put("a", val(1), 30);
   cache.put("a", val(2), 50);  // replace: 30 goes away, 50 comes in
   const LruCacheStats stats = cache.stats();
@@ -73,7 +73,7 @@ TEST(LruCacheTest, ByteAccountingAcrossReplace) {
 }
 
 TEST(LruCacheTest, OversizedValueIsNotRetained) {
-  OneShardCache cache("test.cache_oversized", 8 * 100);
+  OneShardCache cache(8 * 100);
   cache.put("small", val(1), 10);
   cache.put("huge", val(2), 1000);  // > shard budget: evicted immediately
   EXPECT_EQ(cache.get("huge"), nullptr);
@@ -87,11 +87,11 @@ TEST(LruCacheTest, SingleShardAdmitsEntryUpToFullBudget) {
   // capacity/8; a single-shard instance (the serve state cache) must
   // retain an entry that fills the whole budget. Regression: large
   // state tables were evicted on insert and never answered "cached".
-  ShardedLruCache<std::string, int> sharded("test.cache_large8", 800);
+  ShardedLruCache<std::string, int> sharded(800);
   sharded.put("big", val(1), 500);  // > 800/8 per-shard budget
   EXPECT_EQ(sharded.get("big"), nullptr);
 
-  ShardedLruCache<std::string, int> single("test.cache_large1", 800, 1);
+  ShardedLruCache<std::string, int> single(800, 1);
   single.put("big", val(1), 500);
   EXPECT_NE(single.get("big"), nullptr);
   EXPECT_EQ(single.stats().bytes, 500u);
@@ -99,7 +99,7 @@ TEST(LruCacheTest, SingleShardAdmitsEntryUpToFullBudget) {
 }
 
 TEST(LruCacheTest, EvictedValueSurvivesForHolders) {
-  OneShardCache cache("test.cache_holders", 8 * 100);
+  OneShardCache cache(8 * 100);
   cache.put("a", val(7), 60);
   const auto held = cache.get("a");
   cache.put("b", val(8), 60);  // evicts "a"
@@ -109,7 +109,7 @@ TEST(LruCacheTest, EvictedValueSurvivesForHolders) {
 }
 
 TEST(LruCacheTest, ClearEmptiesEveryShard) {
-  ShardedLruCache<std::string, int> cache("test.cache_clear", 8 * 1024);
+  ShardedLruCache<std::string, int> cache(8 * 1024);
   for (int i = 0; i < 64; ++i) {
     cache.put("key" + std::to_string(i), val(i), 8);
   }
@@ -125,7 +125,7 @@ TEST(LruCacheTest, ClearEmptiesEveryShard) {
 // TSan lane runs this and any locking mistake in the shard structure
 // becomes a reported race.
 TEST(LruCacheTest, ConcurrentHammer) {
-  ShardedLruCache<std::string, int> cache("test.cache_hammer", 8 * 4096);
+  ShardedLruCache<std::string, int> cache(8 * 4096);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   constexpr int kKeySpace = 64;

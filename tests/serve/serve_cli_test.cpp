@@ -151,13 +151,11 @@ TEST_F(ServeCliTest, QueryWritesClientTraceFile) {
   const serve::json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-#if IVT_OBS_ENABLED
   bool found = false;
   for (const serve::json::Value& e : events->array()) {
     if (e.get_string("name", "") == "serve.client.request") found = true;
   }
   EXPECT_TRUE(found);
-#endif
 }
 
 TEST_F(ServeCliTest, TopRendersOneFrameAgainstLiveServer) {

@@ -3,11 +3,10 @@
 // record, the JSON-lines event log, rolling-window stats decay and the
 // Prometheus metrics op.
 //
-// Every server in this binary uses stats_window_s = 1: a 1 s window
-// lets the decay test sleep seconds, not minutes — and the *registry
-// mirrors* ("serve.requests_window" etc., behind the metrics op) fix
-// their width at first registration, so the whole process must agree
-// for the window="1s" Prometheus label to hold.
+// Servers here use stats_window_s = 1 unless a test asks for another
+// width: short windows let the decay test sleep seconds, not minutes.
+// Each server's stats and metrics ops report its own counts and window
+// width, so servers with different widths can share this process.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -71,8 +70,9 @@ class ServerObsTest : public ::testing::Test {
     ivc_path_ = nullptr;
   }
 
-  static std::unique_ptr<Server> make_server(ServerConfig config = {}) {
-    config.query.stats_window_s = 1;  // see file comment
+  static std::unique_ptr<Server> make_server(ServerConfig config = {},
+                                             std::size_t window_s = 1) {
+    config.query.stats_window_s = window_s;  // see file comment
     auto catalog = std::make_unique<TraceCatalog>(dataset_->catalog);
     catalog->add_trace("syn", *ivc_path_);
     auto server = std::make_unique<Server>(std::move(catalog), config);
@@ -164,7 +164,10 @@ TEST_F(ServerObsTest, ErrorResponsesEchoTheTraceId) {
 }
 
 TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
-  auto server = make_server();
+  // A 1 s window holds only the current second, so a second boundary
+  // between the pings and the stats read would empty it; a 2 s window
+  // still holds the pings then.
+  auto server = make_server({}, 2);
   Client client(server->host(), server->port());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
@@ -174,7 +177,7 @@ TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
   ASSERT_TRUE(hot.ok());
   const json::Value* windowed = hot.body.find("latency_windowed");
   ASSERT_NE(windowed, nullptr);
-  EXPECT_EQ(windowed->get_int("window_seconds", 0), 1);
+  EXPECT_EQ(windowed->get_int("window_seconds", 0), 2);
   EXPECT_GT(windowed->get_int("count", 0), 0);
   EXPECT_GE(windowed->get_double("p99_ms", -1.0),
             windowed->get_double("p50_ms", -1.0));
@@ -183,7 +186,7 @@ TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
   EXPECT_EQ(hot.body.get_int("spans_dropped", -1), 0);
   EXPECT_EQ(hot.body.get_int("events_dropped", -1), 0);
 
-  // One window (1 s) after the load stops, the windowed view is empty —
+  // One window (2 s) after the load stops, the windowed view is empty —
   // while the lifetime histogram of course still remembers everything.
   std::this_thread::sleep_for(std::chrono::milliseconds(2500));
   const ClientResponse cold = client.request(R"({"op":"stats"})");
@@ -197,8 +200,6 @@ TEST_F(ServerObsTest, StatsReportWindowedLatencyThatDecays) {
   ASSERT_NE(lifetime, nullptr);
   EXPECT_GT(lifetime->get_int("count", 0), 0);
 }
-
-#if IVT_OBS_ENABLED
 
 TEST_F(ServerObsTest, ClientAndServerSpansShareThePropagatedTraceId) {
   auto server = make_server();
@@ -272,7 +273,28 @@ TEST_F(ServerObsTest, MetricsOpExposesPrometheusText) {
   }
 }
 
-#endif  // IVT_OBS_ENABLED
+TEST_F(ServerObsTest, MetricsOpReportsThisServersOwnNumbers) {
+  // Two servers in one process, the 1 s one served first: the 5 s
+  // server's scrape shows its own window width and only the requests it
+  // completed, not the process sum.
+  auto one_second = make_server();
+  auto five_seconds = make_server({}, 5);
+  Client other(one_second->host(), one_second->port());
+  ASSERT_TRUE(other.request(R"({"op":"ping"})").ok());
+  Client client(five_seconds->host(), five_seconds->port());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
+  }
+
+  const ClientResponse response = client.request(R"({"op":"metrics"})");
+  ASSERT_TRUE(response.ok());
+  const std::string& text = response.payload;
+  EXPECT_NE(text.find("\nivt_serve_requests_window{window=\"5s\"} "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nivt_serve_requests_total 3\n"), std::string::npos)
+      << text;
+}
 
 }  // namespace
 }  // namespace ivt::serve

@@ -42,8 +42,7 @@ dataflow::Engine inline_engine() {
   return dataflow::Engine(config);
 }
 
-// Reads the engine's own accounting through the stats op, so the
-// warm-cache invariants below hold with IVT_OBS=OFF too.
+// Reads the engine's own accounting through the stats op.
 std::uint64_t chunks_decoded_now(Client& client) {
   const ClientResponse stats = client.request(R"({"op":"stats"})");
   EXPECT_TRUE(stats.ok());
@@ -323,7 +322,6 @@ TEST_F(ServerTest, MalformedJsonIsDecodeErrorNotDrop) {
 }
 
 TEST_F(ServerTest, OverloadIsTypedAndRetryable) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   ServerConfig config;
   config.workers = 1;
   config.max_in_flight = 1;
@@ -363,7 +361,6 @@ TEST_F(ServerTest, OverloadIsTypedAndRetryable) {
 }
 
 TEST_F(ServerTest, MidRequestFaultYieldsTypedErrorNotDrop) {
-  if (!faultfx::enabled()) GTEST_SKIP() << "faultfx compiled out";
   const auto server = make_server();
   Client client(server->host(), server->port());
 
