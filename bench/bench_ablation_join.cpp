@@ -1,9 +1,8 @@
 // Ablation: the join-based interpretation design (paper Sec. 3.2).
 //
-// Compares three ways to get from K_pre to K_s on the same trace:
-//  - join_fused:   hash-join U_comb then fused u1∘u2 row mapping (default)
-//  - join_staged:  hash-join then two separate engine stages F_u1, F_u2
-//                  (the literal Algorithm 1 lines 5-6)
+// Compares two ways to get from K_b to K_s on the same trace:
+//  - join_fused:   preselect, then the fused broadcast-probe kernel
+//                  (join ⋈ U_comb, u1 and u2 in one pipelined stage)
 //  - seq_lookup:   the in-house pattern — sequential scan, per-message
 //                  signal lookup (single machine, no tabular ops)
 #include <benchmark/benchmark.h>
@@ -56,19 +55,6 @@ void BM_InterpretJoinFused(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_InterpretJoinFused)->Unit(benchmark::kMillisecond);
-
-void BM_InterpretJoinTwoStage(benchmark::State& state) {
-  dataflow::Engine engine({.workers = bench::bench_workers()});
-  core::InterpretOptions options;
-  options.catalog = &workload().dataset.catalog;
-  options.two_stage_interpretation = true;
-  for (auto _ : state) {
-    const auto ks =
-        core::extract_signals(engine, workload().kb, workload().urel, options);
-    benchmark::DoNotOptimize(ks.num_rows());
-  }
-}
-BENCHMARK(BM_InterpretJoinTwoStage)->Unit(benchmark::kMillisecond);
 
 void BM_SequentialLookup(benchmark::State& state) {
   for (auto _ : state) {

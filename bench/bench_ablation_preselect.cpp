@@ -2,12 +2,10 @@
 // kept low as relevant messages are filtered prior to interpretation").
 //
 // Extracts a small signal subset from a LIG-class trace with and without
-// the preselection filter, in both interpretation modes:
-//  - fused (default): the join probe itself skips irrelevant rows, so the
-//    σ-filter is largely subsumed — expect parity;
-//  - literal (materialized K_join, Algorithm 1 lines 4-6): without the
-//    σ-filter every K_b row is shuffled through the materializing join,
-//    which is exactly the cost the paper's preselection avoids.
+// the preselection filter. The fused kernel's join probe itself skips
+// irrelevant rows, so the σ-filter is largely subsumed — expect parity.
+// (A plan that materializes K_join pays for every unfiltered K_b row
+// instead; that is the cost the paper's preselection avoids.)
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -79,37 +77,6 @@ void BM_WithoutPreselection(benchmark::State& state) {
   state.counters["ks_rows"] = static_cast<double>(rows);
 }
 BENCHMARK(BM_WithoutPreselection)->Arg(5)->Arg(20)->Arg(90)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LiteralWithPreselection(benchmark::State& state) {
-  dataflow::Engine engine({.workers = bench::bench_workers()});
-  const auto urel =
-      workload().urel_subset(static_cast<std::size_t>(state.range(0)));
-  core::InterpretOptions options;
-  options.catalog = &workload().dataset.catalog;
-  options.two_stage_interpretation = true;
-  for (auto _ : state) {
-    const auto kpre = core::preselect(engine, workload().kb, urel);
-    const auto ks = core::interpret(engine, kpre, urel, options);
-    benchmark::DoNotOptimize(ks.num_rows());
-  }
-}
-BENCHMARK(BM_LiteralWithPreselection)->Arg(5)->Arg(90)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LiteralWithoutPreselection(benchmark::State& state) {
-  dataflow::Engine engine({.workers = bench::bench_workers()});
-  const auto urel =
-      workload().urel_subset(static_cast<std::size_t>(state.range(0)));
-  core::InterpretOptions options;
-  options.catalog = &workload().dataset.catalog;
-  options.two_stage_interpretation = true;
-  for (auto _ : state) {
-    const auto ks = core::interpret(engine, workload().kb, urel, options);
-    benchmark::DoNotOptimize(ks.num_rows());
-  }
-}
-BENCHMARK(BM_LiteralWithoutPreselection)->Arg(5)->Arg(90)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -44,10 +44,8 @@ int main() {
 
   // Pre-build the K_b tables (loading is not part of either measurement).
   std::vector<dataflow::Table> kbs;
-  std::size_t rows_per_journey = 0;
   for (const tracefile::Trace& journey : fleet.journeys) {
     kbs.push_back(tracefile::to_kb_table(journey, 32));
-    rows_per_journey = kbs.back().num_rows();
   }
 
   const std::vector<std::string> signals9(fleet.signal_names.begin(),

@@ -20,6 +20,7 @@
 #include "core/interpret.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "core/schemas.hpp"
 #include "core/urel.hpp"
 #include "dataflow/csv.hpp"
 #include "dataflow/ops.hpp"
@@ -555,12 +556,11 @@ int cmd_extract(const Args& args) {
   const std::vector<std::string> signals = args.get_list("signals");
   const std::string out_path = args.require("out");
   const dataflow::EngineConfig engine_config = engine_config_from_args(args);
-  core::InterpretOptions options;
-  options.catalog = &catalog;
-  options.skip_error_frames = args.has("skip-error-frames");
-  const errors::ErrorPolicy on_error = error_policy_arg(args);
-  const colstore::ScanMode scan_mode =
-      colstore::parse_scan_mode(args.get_or("scan", "decoded"));
+  core::PipelineConfig config;
+  config.interpret.catalog = &catalog;
+  config.interpret.skip_error_frames = args.has("skip-error-frames");
+  config.on_error = error_policy_arg(args);
+  config.scan_mode = colstore::parse_scan_mode(args.get_or("scan", "decoded"));
   const ObsOutputs obs_outputs(args);
   warn_unused(args);
 
@@ -569,21 +569,22 @@ int cmd_extract(const Args& args) {
                         ? core::make_full_urel_table(catalog)
                         : core::make_urel_table(catalog, signals);
   errors::FailureLog failures;
-  dataflow::Table ks;
+  dataflow::Table ks(core::ks_schema());
   std::size_t input_rows = 0;
   if (colstore::is_columnar_trace_file(trace_path)) {
-    // Columnar container: push U_comb down into the scan so only chunks
-    // whose zone maps can match are decoded at all.
+    // Columnar container: lines 3–6 of the morsel executor. U_comb is
+    // pushed down into the scan, so only chunks whose zone maps can match
+    // are decoded at all, and each surviving chunk is preselected and
+    // interpreted as one task on the engine.
     const colstore::ColumnarReader reader(trace_path);
     input_rows = reader.num_rows();
-    colstore::ScanStats stats;
-    colstore::ScanOptions scan_options;
-    scan_options.on_error = on_error;
-    scan_options.failures = &failures;
-    scan_options.mode = scan_mode;
-    const auto kpre =
-        core::preselect(engine, reader, urel, scan_options, &stats);
-    ks = core::interpret(engine, kpre, urel, options);
+    const core::MorselProcessor processor(reader, urel, config, &failures);
+    std::vector<dataflow::Partition> parts(processor.num_morsels());
+    engine.parallel_for(parts.size(), [&processor, &parts](std::size_t k) {
+      parts[k] = processor.extract(k);
+    });
+    for (dataflow::Partition& part : parts) ks.add_partition(std::move(part));
+    const colstore::ScanStats stats = processor.stats();
     std::fprintf(stderr,
                  "pushdown scan: %zu/%zu chunks decoded, %zu/%zu rows "
                  "materialized\n",
@@ -595,11 +596,12 @@ int cmd_extract(const Args& args) {
     }
   } else {
     const tracefile::Trace trace =
-        tracefile::load_trace_tolerant(trace_path, on_error, &failures);
+        tracefile::load_trace_tolerant(trace_path, config.on_error,
+                                       &failures);
     const auto kb =
         tracefile::to_kb_table(trace, engine.default_partitions());
     input_rows = kb.num_rows();
-    ks = core::extract_signals(engine, kb, urel, options);
+    ks = core::extract_signals(engine, kb, urel, config.interpret);
   }
   write_table_arg(ks, out_path);
   std::fprintf(stderr, "extracted %zu signal instances from %zu records -> %s\n",
@@ -607,7 +609,8 @@ int cmd_extract(const Args& args) {
   std::printf("%s",
               dataflow::to_display_string(dataflow::summarize(engine, ks))
                   .c_str());
-  if (on_error == errors::ErrorPolicy::Quarantine && !failures.empty()) {
+  if (config.on_error == errors::ErrorPolicy::Quarantine &&
+      !failures.empty()) {
     write_quarantine_sidecar(trace_path, failures);
   }
   obs_outputs.write();

@@ -19,37 +19,6 @@ using dataflow::Partition;
 using dataflow::RowView;
 using dataflow::Schema;
 using dataflow::Table;
-using dataflow::Value;
-using dataflow::ValueType;
-
-/// Column indices of the joined table (left K_b fields + U_rel payload
-/// fields), resolved once per operation.
-struct JoinCols {
-  std::size_t t, l, b_id, m_id, m_info;
-  std::size_t s_id, start_bit, length, byte_order, value_kind, scale, offset;
-  std::size_t categorical, presence_always, presence_start, presence_length;
-  std::size_t presence_order, presence_equals;
-
-  explicit JoinCols(const Schema& schema)
-      : t(schema.require("t")),
-        l(schema.require("l")),
-        b_id(schema.require("b_id")),
-        m_id(schema.require("m_id")),
-        m_info(schema.require("m_info")),
-        s_id(schema.require("s_id")),
-        start_bit(schema.require("start_bit")),
-        length(schema.require("length")),
-        byte_order(schema.require("byte_order")),
-        value_kind(schema.require("value_kind")),
-        scale(schema.require("scale")),
-        offset(schema.require("offset")),
-        categorical(schema.require("categorical")),
-        presence_always(schema.require("presence_always")),
-        presence_start(schema.require("presence_start")),
-        presence_length(schema.require("presence_length")),
-        presence_order(schema.require("presence_order")),
-        presence_equals(schema.require("presence_equals")) {}
-};
 
 protocol::ByteOrder order_from(std::int64_t code) {
   return code != 0 ? protocol::ByteOrder::Motorola
@@ -339,14 +308,8 @@ void InterpretKernel::interpret_runs(
   }
 }
 
-namespace {
-
-/// Fused join ⨝ + u1 + u2: probe each K_pre row against the broadcast
-/// U_comb and emit its signal instances directly, without materializing
-/// the intermediate K_join table (the equivalent of Spark pipelining the
-/// join into the following map stages).
-Table interpret_fused(Engine& engine, const Table& kpre, const Table& urel,
-                      const InterpretOptions& options) {
+Table interpret(Engine& engine, const Table& kpre, const Table& urel,
+                const InterpretOptions& options) {
   const InterpretKernel kernel(urel, options);
   return engine.map_partitions(
       "interpret_fused_join_u1u2", kpre, ks_schema(),
@@ -355,161 +318,6 @@ Table interpret_fused(Engine& engine, const Table& kpre, const Table& urel,
         kernel.interpret_partition(p, kpre.schema(), out);
         return out;
       });
-}
-
-}  // namespace
-
-Table interpret(Engine& engine, const Table& kpre, const Table& urel,
-                const InterpretOptions& options) {
-  if (!options.two_stage_interpretation) {
-    return interpret_fused(engine, kpre, urel, options);
-  }
-
-  Table joined = dataflow::hash_join(engine, kpre, urel, {"b_id", "m_id"},
-                                     {"u_b_id", "u_m_id"},
-                                     dataflow::JoinType::Inner, "join_urel");
-
-  const auto specs = broadcast_specs(options.catalog);
-  const bool skip_errors = options.skip_error_frames;
-
-  // Optional two-stage mode: F_u1 materializes the relevant payload bytes
-  // l_rel as an extra column first (Algorithm 1 line 5), then F_u2
-  // interprets them (line 6). The fused default applies u2(u1(row)) in one
-  // pass without materializing K_join2.
-  std::size_t lrel_col = 0;
-  if (options.two_stage_interpretation) {
-    const JoinCols cols(joined.schema());
-    joined = dataflow::with_column(
-        engine, joined, {"l_rel", ValueType::String},
-        [cols](const RowView& row) -> Value {
-          const std::string& payload = row.string_at(cols.l);
-          const auto span = std::span<const std::uint8_t>(
-              reinterpret_cast<const std::uint8_t*>(payload.data()),
-              payload.size());
-          const std::uint16_t start =
-              static_cast<std::uint16_t>(row.int64_at(cols.start_bit));
-          const std::uint16_t length =
-              static_cast<std::uint16_t>(row.int64_at(cols.length));
-          const protocol::ByteOrder order =
-              order_from(row.int64_at(cols.byte_order));
-          if (!protocol::bit_field_fits(span.size(), start, length, order)) {
-            return Value{};
-          }
-          const std::uint64_t raw =
-              protocol::extract_bits(span, start, length, order);
-          // l_rel rendered as 8 raw bytes little-endian.
-          std::string bytes(8, '\0');
-          for (int i = 0; i < 8; ++i) {
-            bytes[static_cast<std::size_t>(i)] =
-                static_cast<char>((raw >> (8 * i)) & 0xFF);
-          }
-          return Value{std::move(bytes)};
-        },
-        "u1_extract_lrel");
-    lrel_col = joined.schema().require("l_rel");
-  }
-
-  const JoinCols cols(joined.schema());
-  const bool two_stage = options.two_stage_interpretation;
-
-  return dataflow::map_rows(
-      engine, joined, ks_schema(),
-      [cols, &specs, skip_errors, two_stage, lrel_col](const RowView& row,
-                                                       Partition& out) {
-        if (skip_errors) {
-          const tracefile::MInfo info =
-              tracefile::parse_m_info(row.string_at(cols.m_info));
-          if ((info.flags & tracefile::TraceRecord::kFlagErrorFrame) != 0) {
-            return;
-          }
-        }
-        const std::string& payload = row.string_at(cols.l);
-        const auto span = std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(payload.data()),
-            payload.size());
-
-        // Presence condition (conditional members, e.g. SOME/IP).
-        if (row.int64_at(cols.presence_always) == 0) {
-          const std::uint16_t sel_start = static_cast<std::uint16_t>(
-              row.int64_at(cols.presence_start));
-          const std::uint16_t sel_len = static_cast<std::uint16_t>(
-              row.int64_at(cols.presence_length));
-          const protocol::ByteOrder sel_order =
-              order_from(row.int64_at(cols.presence_order));
-          if (!protocol::bit_field_fits(span.size(), sel_start, sel_len,
-                                        sel_order)) {
-            return;
-          }
-          const std::uint64_t selector =
-              protocol::extract_bits(span, sel_start, sel_len, sel_order);
-          if (selector !=
-              static_cast<std::uint64_t>(
-                  row.int64_at(cols.presence_equals))) {
-            return;
-          }
-        }
-
-        const std::uint16_t length =
-            static_cast<std::uint16_t>(row.int64_at(cols.length));
-        std::uint64_t raw = 0;
-        if (two_stage) {
-          if (row.is_null(lrel_col)) return;
-          const std::string& bytes = row.string_at(lrel_col);
-          for (int i = 0; i < 8; ++i) {
-            raw |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                       bytes[static_cast<std::size_t>(i)]))
-                   << (8 * i);
-          }
-        } else {
-          const std::uint16_t start =
-              static_cast<std::uint16_t>(row.int64_at(cols.start_bit));
-          const protocol::ByteOrder order =
-              order_from(row.int64_at(cols.byte_order));
-          if (!protocol::bit_field_fits(span.size(), start, length, order)) {
-            return;
-          }
-          raw = protocol::extract_bits(span, start, length, order);
-        }
-
-        double raw_value = 0.0;
-        switch (static_cast<signaldb::ValueKind>(
-            row.int64_at(cols.value_kind))) {
-          case signaldb::ValueKind::Unsigned:
-            raw_value = static_cast<double>(raw);
-            break;
-          case signaldb::ValueKind::Signed:
-            raw_value =
-                static_cast<double>(protocol::sign_extend(raw, length));
-            break;
-          case signaldb::ValueKind::Float32:
-            raw_value = static_cast<double>(
-                protocol::raw_to_float32(static_cast<std::uint32_t>(raw)));
-            break;
-          case signaldb::ValueKind::Float64:
-            raw_value = protocol::raw_to_float64(raw);
-            break;
-        }
-        const double physical =
-            row.float64_at(cols.scale) * raw_value +
-            row.float64_at(cols.offset);
-
-        const std::string& s_id = row.string_at(cols.s_id);
-        out.columns[0].append_int64(row.int64_at(cols.t));
-        out.columns[1].append_string(s_id);
-        out.columns[2].append_float64(physical);
-        if (row.int64_at(cols.categorical) != 0) {
-          const auto it = specs.find(s_id);
-          const signaldb::ValueTableEntry* entry =
-              it != specs.end() ? it->second->find_label(raw) : nullptr;
-          out.columns[3].append_string(entry != nullptr
-                                           ? entry->label
-                                           : "raw:" + std::to_string(raw));
-        } else {
-          out.columns[3].append_null();
-        }
-        out.columns[4].append_string(row.string_at(cols.b_id));
-      },
-      two_stage ? "u2_interpret" : "interpret_u1u2");
 }
 
 Table extract_signals(Engine& engine, const Table& kb, const Table& urel,

@@ -28,14 +28,6 @@ struct InterpretOptions {
   const signaldb::Catalog* catalog = nullptr;
   /// Drop records the monitor flagged as error frames.
   bool skip_error_frames = false;
-  /// Execute the literal Algorithm 1 plan: materialize K_join via the
-  /// hash join (line 4), then run F_u1 (line 5) and F_u2 (line 6) as
-  /// separate engine stages. The default instead fuses the join probe and
-  /// both mappings into one pipelined stage — the same plan a Spark
-  /// optimizer produces (broadcast join + whole-stage codegen), avoiding
-  /// the K_join materialization that duplicates each payload once per
-  /// matched signal. Used by bench_ablation_join.
-  bool two_stage_interpretation = false;
 };
 
 /// Line 3: K_pre = σ_{(m_id,b_id) ∈ U_comb}(K_b).
@@ -119,7 +111,11 @@ class InterpretKernel {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Lines 4–6: K_join = K_pre ⋈ U_comb; K_s = F_u2(F_u1(K_join)).
+/// Lines 4–6: K_s = F_u2(F_u1(K_pre ⋈ U_comb)), run as the fused
+/// InterpretKernel over every K_pre partition. K_join is never
+/// materialized: the join probe and both mappings are one pipelined
+/// stage, the plan a Spark optimizer produces (broadcast join +
+/// whole-stage codegen).
 dataflow::Table interpret(dataflow::Engine& engine,
                           const dataflow::Table& kpre,
                           const dataflow::Table& urel,

@@ -12,24 +12,6 @@ namespace ivt::dataflow {
 
 namespace {
 
-bool needs_quoting(const std::string& s, char sep) {
-  return s.find_first_of(std::string{sep, '"', '\n', '\r'}) !=
-         std::string::npos;
-}
-
-void write_cell(std::ostream& out, const std::string& s, char sep) {
-  if (!needs_quoting(s, sep)) {
-    out << s;
-    return;
-  }
-  out << '"';
-  for (char c : s) {
-    if (c == '"') out << '"';
-    out << c;
-  }
-  out << '"';
-}
-
 /// Split one logical CSV record (handles quoted fields; `in` may span
 /// multiple physical lines). Returns false at EOF with no data.
 bool read_record(std::istream& in, char sep, std::vector<std::string>& out) {

@@ -1,10 +1,11 @@
 // Relational operations over partitioned tables.
 //
-// These are the tabular primitives the paper's Algorithm 1 is written in
-// (selection σ, join ⋈, per-row mapping F_u, union ∪, plus the window/lag
-// operation used by the state representation). Each operation executes
-// partition-parallel through an Engine and preserves deterministic logical
-// row order.
+// The tabular primitives the pipeline runs outside its fused kernels:
+// selection σ (preselection over a K_b table, a served state's time
+// slice),
+// projection π (state-table column subsets) and a stable sort (the state
+// representation orders K_rep by time). Each operation executes through
+// an Engine and preserves deterministic logical row order.
 #pragma once
 
 #include <functional>
@@ -26,37 +27,6 @@ Table filter(Engine& engine, const Table& in, const RowPredicate& pred,
 Table project(Engine& engine, const Table& in,
               const std::vector<std::string>& columns);
 
-/// Append a computed column. `fn` must return values of `field.type`
-/// (or null).
-Table with_column(Engine& engine, const Table& in, const Field& field,
-                  const std::function<Value(const RowView&)>& fn,
-                  const std::string& stage_name = "with_column");
-
-/// Generalized row mapper (flat map): for every input row, `emit` appends
-/// zero or more complete rows to the output partition (one append per
-/// column, all columns kept in lockstep). This is the engine form of the
-/// paper's interpretation functions F_u1 / F_u2.
-Table map_rows(Engine& engine, const Table& in, const Schema& out_schema,
-               const std::function<void(const RowView&, Partition&)>& emit,
-               const std::string& stage_name = "map_rows");
-
-enum class JoinType { Inner, LeftOuter };
-
-/// Broadcast hash join: builds a hash table over `right` (assumed small —
-/// in the paper this is the parameter table U_comb) and probes each `left`
-/// partition in parallel. Output schema: all left fields followed by
-/// right's non-key fields; throws std::invalid_argument on a name clash.
-/// Matches within one left row are emitted in right-table order, so output
-/// is deterministic.
-Table hash_join(Engine& engine, const Table& left, const Table& right,
-                const std::vector<std::string>& left_keys,
-                const std::vector<std::string>& right_keys,
-                JoinType type = JoinType::Inner,
-                const std::string& stage_name = "hash_join");
-
-/// ∪: concatenate two tables with identical schemas.
-Table union_all(const Table& a, const Table& b);
-
 struct SortKey {
   std::string column;
   bool ascending = true;
@@ -67,33 +37,5 @@ struct SortKey {
 Table sort_by(Engine& engine, const Table& in,
               const std::vector<SortKey>& keys,
               const std::string& stage_name = "sort");
-
-/// Remove duplicate rows w.r.t. `key_columns`, keeping the first
-/// occurrence in logical order.
-Table distinct(Engine& engine, const Table& in,
-               const std::vector<std::string>& key_columns);
-
-enum class AggOp { Count, Sum, Min, Max, First, Last, Mean };
-
-struct Aggregation {
-  AggOp op = AggOp::Count;
-  std::string column;  ///< ignored for Count
-  std::string output_name;
-};
-
-/// Group by `key_columns` and compute aggregates. Two-phase: parallel
-/// per-partition partial aggregation, then a deterministic merge in
-/// partition order. Output groups appear in order of first occurrence.
-Table group_by(Engine& engine, const Table& in,
-               const std::vector<std::string>& key_columns,
-               const std::vector<Aggregation>& aggs);
-
-/// Window lag: value of `value_column` at the previous row with the same
-/// `group_columns` key (in logical order); null for a group's first row.
-/// The new column is named `output_name` and typed like `value_column`.
-Table with_lag(Engine& engine, const Table& in,
-               const std::vector<std::string>& group_columns,
-               const std::string& value_column,
-               const std::string& output_name);
 
 }  // namespace ivt::dataflow

@@ -29,12 +29,6 @@ std::size_t Schema::require(std::string_view name) const {
                           "' (schema: " + to_display_string() + ")");
 }
 
-Schema Schema::with_field(Field field) const {
-  std::vector<Field> fields = fields_;
-  fields.push_back(std::move(field));
-  return Schema(std::move(fields));
-}
-
 Schema Schema::select(const std::vector<std::string>& names) const {
   std::vector<Field> fields;
   fields.reserve(names.size());

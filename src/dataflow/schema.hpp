@@ -46,9 +46,6 @@ class Schema {
     return index_of(name).has_value();
   }
 
-  /// Schema with `field` appended. Throws on duplicate name.
-  [[nodiscard]] Schema with_field(Field field) const;
-
   /// Schema containing only the named fields, in the given order.
   /// Throws std::out_of_range on unknown names.
   [[nodiscard]] Schema select(const std::vector<std::string>& names) const;

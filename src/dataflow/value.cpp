@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 
 namespace ivt::dataflow {
 
@@ -39,20 +38,6 @@ std::string Value::to_display_string() const {
       return as_string();
   }
   return "";
-}
-
-std::size_t Value::hash() const {
-  switch (type()) {
-    case ValueType::Null:
-      return 0x9e3779b97f4a7c15ULL;
-    case ValueType::Int64:
-      return std::hash<std::int64_t>{}(as_int64());
-    case ValueType::Float64:
-      return std::hash<double>{}(as_float64());
-    case ValueType::String:
-      return std::hash<std::string>{}(as_string());
-  }
-  return 0;
 }
 
 }  // namespace ivt::dataflow

@@ -52,12 +52,6 @@ class Value {
     return std::get<std::string>(data_);
   }
 
-  /// Numeric view: int64 widened to double. Precondition: numeric type.
-  [[nodiscard]] double as_number() const {
-    if (type() == ValueType::Int64) return static_cast<double>(as_int64());
-    return as_float64();
-  }
-
   /// Render the cell for display / CSV. Null renders as empty string.
   [[nodiscard]] std::string to_display_string() const;
 
@@ -67,9 +61,6 @@ class Value {
   friend auto operator<=>(const Value& a, const Value& b) {
     return a.data_ <=> b.data_;
   }
-
-  /// Stable hash (used by hash joins and group-by).
-  [[nodiscard]] std::size_t hash() const;
 
  private:
   std::variant<std::monostate, std::int64_t, double, std::string> data_;

@@ -13,10 +13,15 @@
 namespace ivt::cli {
 namespace {
 
-int run(std::initializer_list<const char*> argv_list) {
-  std::vector<const char*> argv{"ivt"};
-  argv.insert(argv.end(), argv_list.begin(), argv_list.end());
+int run(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "ivt");
   return run_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 class CliTest : public ::testing::Test {
@@ -127,22 +132,36 @@ TEST_F(CliTest, ExtractFromColumnarMatchesRowContainer) {
   ASSERT_EQ(run({"pack", "--trace", trace_path().c_str(), "--out",
                  ivc.c_str(), "--chunk-rows", "64"}),
             0);
+  const std::string ivt = trace_path();
+  const std::string catalog = catalog_path();
   const std::string from_ivt = ::testing::TempDir() + "/cli_ks_ivt.csv";
   const std::string from_ivc = ::testing::TempDir() + "/cli_ks_ivc.csv";
-  ASSERT_EQ(run({"extract", "--trace", trace_path().c_str(), "--catalog",
-                 catalog_path().c_str(), "--out", from_ivt.c_str()}),
-            0);
-  ASSERT_EQ(run({"extract", "--trace", ivc.c_str(), "--catalog",
-                 catalog_path().c_str(), "--out", from_ivc.c_str()}),
-            0);
-  // The pushed-down columnar path must produce byte-identical signal rows.
-  std::ifstream a(from_ivt), b(from_ivc);
-  const std::string csv_a((std::istreambuf_iterator<char>(a)),
-                          std::istreambuf_iterator<char>());
-  const std::string csv_b((std::istreambuf_iterator<char>(b)),
-                          std::istreambuf_iterator<char>());
-  EXPECT_FALSE(csv_a.empty());
-  EXPECT_EQ(csv_a, csv_b);
+  // The pushed-down columnar path must produce byte-identical signal rows
+  // under either scan mode, with and without the error-frame filter.
+  const std::vector<std::vector<const char*>> extras = {
+      {},
+      {"--scan", "compressed"},
+      {"--skip-error-frames"},
+      {"--scan", "compressed", "--skip-error-frames"},
+  };
+  for (const std::vector<const char*>& extra : extras) {
+    std::string label;
+    for (const char* arg : extra) label += std::string(arg) + " ";
+    SCOPED_TRACE("extra args: " + label);
+    std::vector<const char*> ivt_args = {"extract", "--trace", ivt.c_str(),
+                                         "--catalog", catalog.c_str(),
+                                         "--out", from_ivt.c_str()};
+    ivt_args.insert(ivt_args.end(), extra.begin(), extra.end());
+    std::vector<const char*> ivc_args = {"extract", "--trace", ivc.c_str(),
+                                         "--catalog", catalog.c_str(),
+                                         "--out", from_ivc.c_str()};
+    ivc_args.insert(ivc_args.end(), extra.begin(), extra.end());
+    ASSERT_EQ(run(ivt_args), 0);
+    ASSERT_EQ(run(ivc_args), 0);
+    const std::string csv_a = read_file(from_ivt);
+    EXPECT_FALSE(csv_a.empty());
+    EXPECT_EQ(csv_a, read_file(from_ivc));
+  }
 }
 
 TEST_F(CliTest, RunAcceptsColumnarTrace) {

@@ -11,6 +11,11 @@
 // Pipeline::run(engine, kb) runs stage by stage, with scan failures listed
 // ahead of sequence failures. Over .ivc data the production `--exec
 // batch` is the executor itself, so it cannot be its own reference.
+//
+// On clean input the reference is in turn held against the test-only
+// oracle of Algorithm 1 lines 3–9 (reference.hpp): its K_s, sequence
+// reports and correspondences must equal the oracle's, so every mode
+// compared with the reference is tied to the oracle too.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -29,6 +34,8 @@
 #include "errors/error.hpp"
 #include "errors/failure_log.hpp"
 #include "signaldb/catalog.hpp"
+
+#include "reference.hpp"
 
 namespace ivt::testdiff {
 
@@ -60,39 +67,6 @@ inline core::PipelineResult run_reference(
                   std::make_move_iterator(result.failures.end()));
   result.failures = std::move(failures);
   return result;
-}
-
-/// Run the pipeline over `reader` in the given mode: Batch is the
-/// reference (see the header comment), every other mode the production
-/// Pipeline::run(engine, reader). The pipeline is constructed fresh per
-/// call so both runs see identical configuration.
-inline RunOutcome run_mode(const signaldb::Catalog& catalog,
-                           const colstore::ColumnarReader& reader,
-                           core::PipelineConfig config, core::ExecMode mode,
-                           dataflow::EngineConfig engine_config = {}) {
-  config.exec_mode = mode;
-  RunOutcome out;
-  dataflow::Engine engine(engine_config);
-  const core::Pipeline pipeline(catalog, std::move(config));
-  try {
-    out.result = mode == core::ExecMode::Batch
-                     ? run_reference(engine, pipeline, reader, out.scan_stats)
-                     : pipeline.run(engine, reader, &out.scan_stats);
-    out.exit_code = out.result.failures.empty() ? 0 : 4;
-  } catch (const errors::Error& e) {
-    out.threw = true;
-    out.error = e.describe();
-    switch (e.category()) {
-      case errors::Category::Format:
-      case errors::Category::Decode:
-      case errors::Category::Spec:
-        out.exit_code = 3;
-        break;
-      default:
-        out.exit_code = 1;
-    }
-  }
-  return out;
 }
 
 /// Cell-exact table comparison (schema, row count, every value including
@@ -132,6 +106,107 @@ inline ::testing::AssertionResult tables_identical(const dataflow::Table& a,
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Algorithm 1 lines 3–9 of a pipeline result against the oracle: row
+/// counters, K_s (which the run must have kept), the sequence reports'
+/// channel and size, and the correspondences.
+inline ::testing::AssertionResult matches_oracle(
+    const core::PipelineResult& result, const testref::Result& oracle) {
+  if (result.kb_rows != oracle.kb_rows ||
+      result.kpre_rows != oracle.kpre_rows ||
+      result.ks_rows != oracle.ks.size()) {
+    return ::testing::AssertionFailure()
+           << "row counters differ from the oracle: kb " << result.kb_rows
+           << "/" << oracle.kb_rows << " kpre " << result.kpre_rows << "/"
+           << oracle.kpre_rows << " ks " << result.ks_rows << "/"
+           << oracle.ks.size();
+  }
+  if (auto t = tables_identical(result.ks, testref::ks_table(oracle),
+                                "K_s vs oracle");
+      !t) {
+    return t;
+  }
+  if (result.sequences.size() != oracle.sequences.size()) {
+    return ::testing::AssertionFailure()
+           << "sequence count " << result.sequences.size()
+           << " vs oracle " << oracle.sequences.size();
+  }
+  for (std::size_t i = 0; i < oracle.sequences.size(); ++i) {
+    const core::SequenceReport& got = result.sequences[i];
+    const testref::Sequence& want = oracle.sequences[i];
+    if (got.s_id != want.s_id || got.bus != want.bus ||
+        got.input_rows != want.instances.size()) {
+      return ::testing::AssertionFailure()
+             << "sequence " << i << " is (" << got.s_id << "," << got.bus
+             << "," << got.input_rows << " rows), oracle (" << want.s_id
+             << "," << want.bus << "," << want.instances.size() << " rows)";
+    }
+  }
+  if (result.correspondences.size() != oracle.correspondences.size()) {
+    return ::testing::AssertionFailure()
+           << "correspondence count " << result.correspondences.size()
+           << " vs oracle " << oracle.correspondences.size();
+  }
+  for (std::size_t i = 0; i < oracle.correspondences.size(); ++i) {
+    const core::ChannelCorrespondence& got = result.correspondences[i];
+    const testref::Correspondence& want = oracle.correspondences[i];
+    if (got.s_id != want.s_id ||
+        got.representative_bus != want.representative_bus ||
+        got.corresponding_buses != want.corresponding_buses) {
+      return ::testing::AssertionFailure()
+             << "correspondence " << i << " (" << got.s_id
+             << ") differs from the oracle's (" << want.s_id << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Run the pipeline over `reader` in the given mode: Batch is the
+/// reference (see the header comment), every other mode the production
+/// Pipeline::run(engine, reader). The pipeline is constructed fresh per
+/// call so both runs see identical configuration. A reference run that
+/// ends clean is also checked against the oracle.
+inline RunOutcome run_mode(const signaldb::Catalog& catalog,
+                           const colstore::ColumnarReader& reader,
+                           core::PipelineConfig config, core::ExecMode mode,
+                           dataflow::EngineConfig engine_config = {}) {
+  config.exec_mode = mode;
+  const bool reference = mode == core::ExecMode::Batch;
+  const bool keep_ks = config.keep_ks;
+  if (reference) config.keep_ks = true;  // the oracle check reads K_s
+  RunOutcome out;
+  dataflow::Engine engine(engine_config);
+  const core::Pipeline pipeline(catalog, std::move(config));
+  try {
+    out.result = reference
+                     ? run_reference(engine, pipeline, reader, out.scan_stats)
+                     : pipeline.run(engine, reader, &out.scan_stats);
+    out.exit_code = out.result.failures.empty() ? 0 : 4;
+  } catch (const errors::Error& e) {
+    out.threw = true;
+    out.error = e.describe();
+    switch (e.category()) {
+      case errors::Category::Format:
+      case errors::Category::Decode:
+      case errors::Category::Spec:
+        out.exit_code = 3;
+        break;
+      default:
+        out.exit_code = 1;
+    }
+  }
+  if (reference && !out.threw && out.result.failures.empty()) {
+    const testref::Options options{
+        .catalog = &catalog,
+        .skip_error_frames = pipeline.config().interpret.skip_error_frames,
+        .dedup_channels = pipeline.config().split.dedup_channels};
+    EXPECT_TRUE(matches_oracle(
+        out.result, testref::run_algorithm1(reader.read_trace(),
+                                            pipeline.urel(), options)));
+  }
+  if (reference && !keep_ks) out.result.ks = dataflow::Table();
+  return out;
 }
 
 /// Failure records keyed by site: order across sites is scheduling-

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/schemas.hpp"
+#include "core/split.hpp"
 #include "core/urel.hpp"
 #include "test_fixtures.hpp"
+
+#include "../common/reference.hpp"
 
 namespace ivt::core {
 namespace {
@@ -115,21 +118,68 @@ TEST_F(InterpretTest, SkipErrorFramesOption) {
   EXPECT_EQ(extract_signals(engine_, kb, urel, options).num_rows(), 2u);
 }
 
-TEST_F(InterpretTest, TwoStageMatchesFused) {
+TEST_F(InterpretTest, MatchesReferenceOracle) {
+  // The wiper is gatewayed onto KC as well, and U_comb carries a KC copy
+  // of its tuples, so each wiper signal has two channels: wvel's are
+  // equal under e(·) (a correspondence), wpos's differ in the last
+  // instance (two representatives). Error frames and truncated payloads
+  // exercise the F_u2 filter and the field-fits check.
   tracefile::Trace trace;
   for (int i = 0; i < 20; ++i) {
     trace.records.push_back(wiper_record(i * kMs, 5.0 * i, 2.0));
+    trace.records.push_back(
+        wiper_record(i * kMs + 150'000, i == 19 ? 1.0 : 5.0 * i, 2.0, "KC"));
     trace.records.push_back(heater_record(i * kMs + 1, i % 4));
+    trace.records.push_back(belt_record(i * kMs + 2, i % 3 == 0));
   }
+  // Both wiper channels at i = 2 are error frames, as is the heater; at
+  // i = 3 both wiper payloads are cut short, so wvel no longer fits.
+  for (const std::size_t r : {8, 9, 10}) {
+    trace.records[r].flags = tracefile::TraceRecord::kFlagErrorFrame;
+  }
+  trace.records[12].payload.resize(3);
+  trace.records[13].payload.resize(3);
+
+  const dataflow::Table catalog_urel = make_full_urel_table(catalog_);
+  const std::size_t bus_col = urel_schema().require("u_b_id");
+  const std::size_t id_col = urel_schema().require("u_m_id");
+  dataflow::TableBuilder builder(urel_schema(), 0);
+  for (std::vector<dataflow::Value> row : catalog_urel.collect_rows()) {
+    builder.append_row(row);
+    if (row[id_col] == dataflow::Value{std::int64_t{3}}) {
+      row[bus_col] = dataflow::Value{"KC"};
+      builder.append_row(std::move(row));
+    }
+  }
+  const dataflow::Table urel = builder.build();
   const auto kb = tracefile::to_kb_table(trace, 3);
-  const auto urel = make_full_urel_table(catalog_);
-  InterpretOptions fused;
-  fused.catalog = &catalog_;
-  InterpretOptions staged = fused;
-  staged.two_stage_interpretation = true;
-  const auto a = extract_signals(engine_, kb, urel, fused);
-  const auto b = extract_signals(engine_, kb, urel, staged);
-  EXPECT_EQ(a.collect_rows(), b.collect_rows());
+
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "skip error frames" : "keep error frames");
+    InterpretOptions options;
+    options.catalog = &catalog_;
+    options.skip_error_frames = skip;
+    const auto ks = extract_signals(engine_, kb, urel, options);
+    const testref::Result oracle = testref::run_algorithm1(
+        trace, urel, {.catalog = &catalog_, .skip_error_frames = skip});
+    EXPECT_EQ(ks.collect_rows(), testref::ks_table(oracle).collect_rows());
+
+    const SplitDataResult split = split_signals_data(engine_, ks);
+    ASSERT_EQ(split.sequences.size(), oracle.sequences.size());
+    for (std::size_t i = 0; i < split.sequences.size(); ++i) {
+      EXPECT_EQ(split.sequences[i].s_id, oracle.sequences[i].s_id);
+      EXPECT_EQ(split.sequences[i].bus, oracle.sequences[i].bus);
+      EXPECT_EQ(split.sequences[i].size(),
+                oracle.sequences[i].instances.size());
+    }
+    ASSERT_EQ(oracle.correspondences.size(), 1u);
+    ASSERT_EQ(split.correspondences.size(), 1u);
+    EXPECT_EQ(split.correspondences[0].s_id, oracle.correspondences[0].s_id);
+    EXPECT_EQ(split.correspondences[0].representative_bus,
+              oracle.correspondences[0].representative_bus);
+    EXPECT_EQ(split.correspondences[0].corresponding_buses,
+              oracle.correspondences[0].corresponding_buses);
+  }
 }
 
 TEST_F(InterpretTest, TruncatedPayloadYieldsNoInstance) {

@@ -4,6 +4,8 @@
 #include "core/pipeline.hpp"
 #include "test_fixtures.hpp"
 
+#include "../common/differ.hpp"
+
 namespace ivt::core {
 namespace {
 
@@ -97,14 +99,31 @@ TEST_F(PipelineConfigTest, NoConstraintsKeepsEverything) {
   EXPECT_EQ(result.reduced_rows, result.ks_rows);
 }
 
-TEST_F(PipelineConfigTest, LiteralInterpretationEndToEnd) {
-  PipelineConfig config;
-  config.interpret.two_stage_interpretation = true;
-  const Pipeline literal(catalog_, config);
-  const Pipeline fused(catalog_, PipelineConfig{});
-  const auto kb = tracefile::to_kb_table(repetitive_trace(), 4);
-  EXPECT_EQ(literal.run(engine_, kb).krep.collect_rows(),
-            fused.run(engine_, kb).krep.collect_rows());
+TEST_F(PipelineConfigTest, MatchesReferenceOracle) {
+  // Lines 3–9 of a whole run (K_s, sequence reports, correspondences)
+  // against the oracle, with the heater's categorical labels and with
+  // every seventh record an error frame, under both error-frame settings.
+  tracefile::Trace trace = repetitive_trace();
+  for (int i = 0; i < 30; ++i) {
+    trace.records.push_back(
+        testing::heater_record(i * 70 * kMs + 1, (i % 5) == 4 ? 14 : i % 4));
+  }
+  for (std::size_t i = 0; i < trace.records.size(); i += 7) {
+    trace.records[i].flags = tracefile::TraceRecord::kFlagErrorFrame;
+  }
+  const auto kb = tracefile::to_kb_table(trace, 4);
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "skip error frames" : "keep error frames");
+    PipelineConfig config;
+    config.keep_ks = true;
+    config.interpret.skip_error_frames = skip;
+    const Pipeline pipeline(catalog_, config);
+    const testref::Result oracle = testref::run_algorithm1(
+        trace, pipeline.urel(),
+        {.catalog = &catalog_, .skip_error_frames = skip});
+    EXPECT_TRUE(
+        testdiff::matches_oracle(pipeline.run(engine_, kb), oracle));
+  }
 }
 
 TEST_F(PipelineConfigTest, DocumentCycleTimeFeedsConstraints) {

@@ -49,94 +49,12 @@ TEST_F(OpsEdgeTest, ProjectEmpty) {
   EXPECT_EQ(out.schema().size(), 1u);
 }
 
-TEST_F(OpsEdgeTest, WithColumnEmpty) {
-  const Table out =
-      with_column(engine_, empty_partition_table(), {"w", ValueType::Int64},
-                  [](const RowView&) { return Value{std::int64_t{1}}; });
-  EXPECT_EQ(out.num_rows(), 0u);
-  EXPECT_TRUE(out.schema().contains("w"));
-}
-
-TEST_F(OpsEdgeTest, MapRowsEmpty) {
-  const Table out = map_rows(engine_, empty_partition_table(), schema(),
-                             [](const RowView&, Partition&) {});
-  EXPECT_EQ(out.num_rows(), 0u);
-}
-
-TEST_F(OpsEdgeTest, JoinWithEmptyLeft) {
-  TableBuilder rb(
-      Schema{{{"k", ValueType::String}, {"w", ValueType::Int64}}}, 0);
-  rb.append_row({Value{"a"}, Value{std::int64_t{9}}});
-  const Table out = hash_join(engine_, empty_partition_table(), rb.build(),
-                              {"k"}, {"k"});
-  EXPECT_EQ(out.num_rows(), 0u);
-  EXPECT_TRUE(out.schema().contains("w"));
-}
-
-TEST_F(OpsEdgeTest, JoinWithEmptyRightInner) {
-  const Table right(
-      Schema{{{"k", ValueType::String}, {"w", ValueType::Int64}}});
-  const Table out = hash_join(engine_, one_row(), right, {"k"}, {"k"});
-  EXPECT_EQ(out.num_rows(), 0u);
-}
-
-TEST_F(OpsEdgeTest, JoinWithEmptyRightLeftOuter) {
-  const Table right(
-      Schema{{{"k", ValueType::String}, {"w", ValueType::Int64}}});
-  const Table out = hash_join(engine_, one_row(), right, {"k"}, {"k"},
-                              JoinType::LeftOuter);
-  EXPECT_EQ(out.num_rows(), 1u);
-  EXPECT_TRUE(out.collect_rows()[0][2].is_null());
-}
-
 TEST_F(OpsEdgeTest, SortEmpty) {
   EXPECT_EQ(sort_by(engine_, empty_table(), {{"v", true}}).num_rows(), 0u);
 }
 
 TEST_F(OpsEdgeTest, SortSingleRow) {
   const Table out = sort_by(engine_, one_row(), {{"v", false}});
-  EXPECT_EQ(out.num_rows(), 1u);
-}
-
-TEST_F(OpsEdgeTest, DistinctEmpty) {
-  EXPECT_EQ(distinct(engine_, empty_partition_table(), {"k"}).num_rows(), 0u);
-}
-
-TEST_F(OpsEdgeTest, GroupByEmpty) {
-  const Table out = group_by(engine_, empty_partition_table(), {"k"},
-                             {{AggOp::Count, "", "n"}});
-  EXPECT_EQ(out.num_rows(), 0u);
-  EXPECT_TRUE(out.schema().contains("n"));
-}
-
-TEST_F(OpsEdgeTest, GroupByAllNullAggColumn) {
-  TableBuilder b(schema(), 0);
-  b.append_row({Value{"a"}, Value{}});
-  b.append_row({Value{"a"}, Value{}});
-  const Table out = group_by(engine_, b.build(), {"k"},
-                             {{AggOp::Count, "", "n"},
-                              {AggOp::Min, "v", "min_v"},
-                              {AggOp::Mean, "v", "mean_v"}});
-  const auto rows = out.collect_rows();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][out.schema().require("n")], Value{std::int64_t{2}});
-  EXPECT_TRUE(rows[0][out.schema().require("min_v")].is_null());
-}
-
-TEST_F(OpsEdgeTest, WithLagEmpty) {
-  EXPECT_EQ(
-      with_lag(engine_, empty_partition_table(), {"k"}, "v", "prev")
-          .num_rows(),
-      0u);
-}
-
-TEST_F(OpsEdgeTest, WithLagSingleRowIsNull) {
-  const Table out = with_lag(engine_, one_row(), {"k"}, "v", "prev");
-  EXPECT_TRUE(out.collect_rows()[0][2].is_null());
-}
-
-TEST_F(OpsEdgeTest, UnionWithEmpty) {
-  const Table out = union_all(one_row(), empty_table());
   EXPECT_EQ(out.num_rows(), 1u);
 }
 
@@ -151,13 +69,6 @@ TEST_F(OpsEdgeTest, ProjectUnknownColumnThrows) {
 TEST_F(OpsEdgeTest, SortUnknownColumnThrows) {
   EXPECT_THROW(sort_by(engine_, one_row(), {{"zz", true}}),
                ivt::errors::Error);
-}
-
-TEST_F(OpsEdgeTest, WithColumnWrongTypeThrows) {
-  EXPECT_THROW(
-      with_column(engine_, one_row(), {"w", ValueType::Int64},
-                  [](const RowView&) { return Value{"string!"}; }),
-      ivt::errors::Error);
 }
 
 }  // namespace

@@ -37,17 +37,6 @@ TEST(SchemaTest, DuplicateNamesRejected) {
                ivt::errors::Error);
 }
 
-TEST(SchemaTest, WithFieldAppends) {
-  const Schema s = make_schema().with_field({"extra", ValueType::Int64});
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.require("extra"), 3u);
-}
-
-TEST(SchemaTest, WithFieldRejectsDuplicate) {
-  EXPECT_THROW(make_schema().with_field({"t", ValueType::Int64}),
-               ivt::errors::Error);
-}
-
 TEST(SchemaTest, SelectReordersFields) {
   const Schema s = make_schema().select({"v", "t"});
   ASSERT_EQ(s.size(), 2u);
@@ -61,7 +50,7 @@ TEST(SchemaTest, SelectUnknownThrows) {
 
 TEST(SchemaTest, Equality) {
   EXPECT_EQ(make_schema(), make_schema());
-  EXPECT_NE(make_schema(), make_schema().with_field({"x", ValueType::Null}));
+  EXPECT_NE(make_schema(), make_schema().select({"t", "name"}));
 }
 
 TEST(SchemaTest, DisplayString) {

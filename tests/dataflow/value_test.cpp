@@ -15,14 +15,12 @@ TEST(ValueTest, Int64RoundTrip) {
   Value v{std::int64_t{42}};
   EXPECT_EQ(v.type(), ValueType::Int64);
   EXPECT_EQ(v.as_int64(), 42);
-  EXPECT_DOUBLE_EQ(v.as_number(), 42.0);
 }
 
 TEST(ValueTest, Float64RoundTrip) {
   Value v{3.25};
   EXPECT_EQ(v.type(), ValueType::Float64);
   EXPECT_DOUBLE_EQ(v.as_float64(), 3.25);
-  EXPECT_DOUBLE_EQ(v.as_number(), 3.25);
 }
 
 TEST(ValueTest, StringRoundTrip) {
@@ -66,16 +64,6 @@ TEST(ValueTest, DisplayString) {
   EXPECT_EQ(Value{"x y"}.to_display_string(), "x y");
   EXPECT_EQ(Value{2.5}.to_display_string(), "2.5");
   EXPECT_EQ(Value{3.0}.to_display_string(), "3");
-}
-
-TEST(ValueTest, HashEqualForEqualValues) {
-  EXPECT_EQ(Value{std::int64_t{5}}.hash(), Value{std::int64_t{5}}.hash());
-  EXPECT_EQ(Value{"abc"}.hash(), Value{"abc"}.hash());
-}
-
-TEST(ValueTest, HashUsuallyDiffersForDifferentValues) {
-  EXPECT_NE(Value{std::int64_t{5}}.hash(), Value{std::int64_t{6}}.hash());
-  EXPECT_NE(Value{"abc"}.hash(), Value{"abd"}.hash());
 }
 
 TEST(ValueTypeTest, Names) {
