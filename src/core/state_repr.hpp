@@ -25,7 +25,9 @@ struct StateRepresentationOptions {
 
 /// Pivot a krep_schema table into the wide state representation. Column
 /// order: "t" first, then signal types in order of first (chronological)
-/// appearance. Input is sorted by time internally.
+/// appearance. Input is sorted by time internally (stable).
+/// The output holds ⌈rows / engine.default_partitions()⌉ rows per
+/// partition, each partition filled by one engine task.
 dataflow::Table build_state_representation(
     dataflow::Engine& engine, const dataflow::Table& krep,
     const StateRepresentationOptions& options = {});

@@ -101,7 +101,7 @@ class Engine {
   void clear_metrics() IVT_EXCLUDES(metrics_mutex_);
 
   /// Record an externally measured stage (used by operations that cannot
-  /// be expressed as a pure partition map, e.g. sort merge phases).
+  /// be expressed as a pure partition map, e.g. a columnar scan).
   void record_stage(StageMetrics m) IVT_EXCLUDES(metrics_mutex_);
 
  private:

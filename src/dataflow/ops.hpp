@@ -2,10 +2,9 @@
 //
 // The tabular primitives the pipeline runs outside its fused kernels:
 // selection σ (preselection over a K_b table, a served state's time
-// slice),
-// projection π (state-table column subsets) and a stable sort (the state
-// representation orders K_rep by time). Each operation executes through
-// an Engine and preserves deterministic logical row order.
+// slice) and projection π (state-table column subsets). Each operation
+// executes through an Engine and preserves deterministic logical row
+// order.
 #pragma once
 
 #include <functional>
@@ -26,16 +25,5 @@ Table filter(Engine& engine, const Table& in, const RowPredicate& pred,
 /// π: keep only the named columns, in the given order.
 Table project(Engine& engine, const Table& in,
               const std::vector<std::string>& columns);
-
-struct SortKey {
-  std::string column;
-  bool ascending = true;
-};
-
-/// Stable global sort by the given keys. Null sorts first. Output uses the
-/// engine's default partition count.
-Table sort_by(Engine& engine, const Table& in,
-              const std::vector<SortKey>& keys,
-              const std::string& stage_name = "sort");
 
 }  // namespace ivt::dataflow

@@ -61,25 +61,6 @@ std::vector<std::vector<Value>> Table::collect_rows() const {
   return rows;
 }
 
-Table Table::repartitioned(std::size_t n) const {
-  if (n == 0) n = 1;
-  const std::size_t total = num_rows();
-  std::size_t per = (total + n - 1) / n;
-  if (per == 0) per = 1;
-  TableBuilder builder(schema_, per);
-  for (const Partition& p : partitions_) {
-    const std::size_t rows = p.num_rows();
-    for (std::size_t r = 0; r < rows; ++r) {
-      Partition& dst = builder.current_partition();
-      for (std::size_t c = 0; c < schema_.size(); ++c) {
-        dst.columns[c].append_from(p.columns[c], r);
-      }
-      builder.commit_row();
-    }
-  }
-  return builder.build();
-}
-
 std::string Table::to_display_string(std::size_t max_rows) const {
   std::ostringstream os;
   os << schema_.to_display_string() << "  [" << num_rows() << " rows, "

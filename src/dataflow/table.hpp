@@ -109,9 +109,6 @@ class Table {
     }
   }
 
-  /// Redistribute rows into `n` evenly sized partitions, preserving order.
-  [[nodiscard]] Table repartitioned(std::size_t n) const;
-
   /// Fixed-width textual rendering of the first `max_rows` rows.
   [[nodiscard]] std::string to_display_string(std::size_t max_rows = 20) const;
 

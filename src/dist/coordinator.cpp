@@ -181,6 +181,7 @@ void Coordinator::accept_loop() {
       break;
     }
     OBS_COUNT("dist.connections_total", 1);
+    serve::set_no_delay(fd);
     const support::MutexLock lock(conn_mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);

@@ -121,6 +121,7 @@ Client::Client(const std::string& host, std::uint16_t port, int timeout_ms) {
     fd_ = -1;
     throw;
   }
+  set_no_delay(fd_);
 }
 
 Client::~Client() {

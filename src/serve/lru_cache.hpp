@@ -19,9 +19,10 @@
 //     reader drops it. Nothing is ever copied out under the lock.
 //   - Eviction is strictly LRU within a shard and runs at insert time
 //     until the shard is back under budget. A value larger than a whole
-//     shard's budget is not cached (the insert immediately evicts it);
-//     callers still get their shared_ptr, so oversized requests work,
-//     they just never warm the cache.
+//     shard's budget is not cached and evicts nothing: its put only drops
+//     an older entry under the same key. Callers still get their
+//     shared_ptr, so oversized requests work, they just never warm the
+//     cache.
 //   - Hit/miss/eviction/insertion counts are plain atomics owned by the
 //     instance, their one writer; the stats op and the metrics op read
 //     them through stats().
@@ -88,6 +89,8 @@ class ShardedLruCache {
 
   /// Insert (or replace) `key`, charging `bytes` against the shard
   /// budget, then evict least-recently-used entries until the shard fits.
+  /// A value over the whole shard budget only removes the old entry
+  /// under `key`; it is neither stored nor counted as an insertion.
   void put(const Key& key, std::shared_ptr<const Value> value,
            std::size_t bytes) {
     Shard& shard = shard_for(key);
@@ -100,6 +103,7 @@ class ShardedLruCache {
         shard.lru.erase(it->second);
         shard.index.erase(it);
       }
+      if (bytes > shard_capacity_) return;
       shard.lru.push_front(Entry{key, std::move(value), bytes});
       shard.index.emplace(key, shard.lru.begin());
       shard.bytes += bytes;

@@ -232,6 +232,7 @@ void Server::accept_loop() {
       continue;
     }
     OBS_COUNT("serve.connections_total", 1);
+    set_no_delay(fd);
     const support::MutexLock lock(mutex_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);

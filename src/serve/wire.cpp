@@ -1,12 +1,16 @@
 #include "serve/wire.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "errors/error.hpp"
 
@@ -42,10 +46,14 @@ std::size_t read_exact(int fd, char* buf, std::size_t n) {
   return done;
 }
 
-void write_exact(int fd, const char* buf, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t put = ::send(fd, buf + done, n - done, kSendFlags);
+/// Send the `count` buffers of `iov` with as few sendmsg() calls as the
+/// kernel allows (one, unless a write comes up short); `iov` is consumed.
+void send_all(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t put = ::sendmsg(fd, &msg, kSendFlags);
     if (put < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -56,7 +64,17 @@ void write_exact(int fd, const char* buf, std::size_t n) {
                 std::string("serve: socket write failed: ") +
                     std::strerror(errno));
     }
-    done += static_cast<std::size_t>(put);
+    // Skip what went out: whole buffers, then a prefix of the next one.
+    auto done = static_cast<std::size_t>(put);
+    while (count > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
 }
 
@@ -136,9 +154,20 @@ void write_frame(int fd, const Frame& frame) {
   store_u32le(header, kFrameMagic);
   store_u32le(header + 4, static_cast<std::uint32_t>(frame.json.size()));
   store_u32le(header + 8, static_cast<std::uint32_t>(frame.payload.size()));
-  write_exact(fd, header, sizeof(header));
-  write_exact(fd, frame.json.data(), frame.json.size());
-  write_exact(fd, frame.payload.data(), frame.payload.size());
+  // One write per frame: a header sent apart from its body would wait
+  // for the peer's delayed ACK under Nagle's algorithm.
+  iovec iov[] = {
+      {header, sizeof(header)},
+      {const_cast<char*>(frame.json.data()), frame.json.size()},
+      {const_cast<char*>(frame.payload.data()), frame.payload.size()},
+  };
+  send_all(fd, iov, std::size(iov));
+}
+
+void set_no_delay(int fd) {
+  const int one = 1;
+  // Best-effort: without it frames are still correct, only slower.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace ivt::serve

@@ -40,8 +40,15 @@ struct Frame {
 /// over the limits.
 bool read_frame(int fd, Frame& out);
 
-/// Write one frame to `fd`. Throws errors::Error(Format) when a body
-/// exceeds its limit and errors::Error(Io) when the peer is gone.
+/// Write one frame to `fd` with one sendmsg() (more only when the kernel
+/// takes it in parts). Throws errors::Error(Format) when a body exceeds
+/// its limit, errors::Error(Timeout) when SO_SNDTIMEO expires and
+/// errors::Error(Io) when the peer is gone.
 void write_frame(int fd, const Frame& frame);
+
+/// Turn off Nagle's algorithm on a connected TCP socket, once per
+/// connection: every frame is one request or one response, so holding
+/// its last segment back for an ACK only adds latency.
+void set_no_delay(int fd);
 
 }  // namespace ivt::serve

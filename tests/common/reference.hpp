@@ -1,5 +1,6 @@
 // Reference oracle: Algorithm 1 lines 3–9 (paper Sec. 3.2) run literally,
-// single-threaded and one row at a time, over a tracefile::Trace.
+// single-threaded and one row at a time, over a tracefile::Trace, and
+// line 29's pivot of K_rep into the state representation (Sec. 4.3).
 //
 //   line 3     K_pre   = σ_{(m_id, b_id) ∈ U_comb}(K_b)
 //   line 4     K_join  = K_pre ⋈ U_comb   (nested loop over the U_comb rows
@@ -11,12 +12,16 @@
 //              a channel equal to an earlier representative becomes a
 //              correspondence instead of a sequence.
 //
+//   line 29    the state representation: a sorted copy of K_rep, one
+//              column per s_id in order of first appearance, one boxed
+//              row per state change, forward-filled.
+//
 // It shares no code with the production executors: no dataflow operator,
-// no InterpretKernel, nothing from split.cpp or partials.cpp. A test that
-// compares a front-end with it therefore checks that front-end against
-// the paper's definition, not against another production path. It is
-// deliberately slow (nested loops, per-row materialization); use it on
-// test-sized traces only.
+// no InterpretKernel, nothing from split.cpp, partials.cpp or
+// state_repr.cpp. A test that compares a front-end with it therefore
+// checks that front-end against the paper's definition, not against
+// another production path. It is deliberately slow (nested loops, per-row
+// materialization); use it on test-sized traces only.
 #pragma once
 
 #include <algorithm>
@@ -332,6 +337,98 @@ inline dataflow::Table ks_table(const Result& result) {
                         s.v_str.has_value() ? Value{*s.v_str} : Value{},
                         Value{s.bus}});
   }
+  return builder.build();
+}
+
+/// Line 29's options, field for field core::StateRepresentationOptions.
+struct StateOptions {
+  bool merge_same_timestamp = true;
+  bool include_extensions = true;
+  bool momentary_extensions = true;
+};
+
+/// Algorithm 1 line 29: K_rep (core::krep_schema() layout) pivoted into the
+/// state representation, laid out as ⌈rows / partitions⌉ rows per
+/// partition. Rows are stably sorted by t; a state row is emitted when t
+/// changes (on every element when merging is off) and holds each column's
+/// last value, except that a column's extension element is cleared once
+/// its row is out when extensions are momentary.
+inline dataflow::Table build_state(const dataflow::Table& krep,
+                                   const StateOptions& options,
+                                   std::size_t partitions) {
+  using dataflow::Value;
+  struct Element {
+    std::int64_t t = 0;
+    std::string s_id;
+    std::string value;
+    bool extension = false;
+  };
+  const dataflow::Schema& in = krep.schema();
+  const std::size_t t_col = in.require("t");
+  const std::size_t sid_col = in.require("s_id");
+  const std::size_t value_col = in.require("value");
+  const std::size_t kind_col = in.require("element_kind");
+
+  std::vector<Element> sorted;
+  krep.for_each_row([&](const dataflow::RowView& row) {
+    sorted.push_back(Element{row.int64_at(t_col), row.string_at(sid_col),
+                             row.string_at(value_col),
+                             row.string_at(kind_col) == "extension"});
+  });
+  std::stable_sort(
+      sorted.begin(), sorted.end(),
+      [](const Element& a, const Element& b) { return a.t < b.t; });
+
+  std::vector<std::string> columns;
+  for (const Element& e : sorted) {
+    if (e.extension && !options.include_extensions) continue;
+    if (std::find(columns.begin(), columns.end(), e.s_id) == columns.end()) {
+      columns.push_back(e.s_id);
+    }
+  }
+  const auto column_of = [&columns](const std::string& s_id) {
+    return static_cast<std::size_t>(
+        std::find(columns.begin(), columns.end(), s_id) - columns.begin());
+  };
+
+  std::vector<std::vector<Value>> rows;
+  std::vector<Value> current(columns.size());
+  std::vector<bool> touched(columns.size(), false);
+  std::int64_t pending_t = 0;
+  bool has_pending = false;
+  const auto emit_row = [&] {
+    if (!has_pending) return;
+    std::vector<Value> row{Value{pending_t}};
+    row.insert(row.end(), current.begin(), current.end());
+    rows.push_back(std::move(row));
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      if (options.momentary_extensions && touched[c]) current[c] = Value{};
+      touched[c] = false;
+    }
+    has_pending = false;
+  };
+  for (const Element& e : sorted) {
+    if (e.extension && !options.include_extensions) continue;
+    if (has_pending && (!options.merge_same_timestamp || e.t != pending_t)) {
+      emit_row();
+    }
+    const std::size_t c = column_of(e.s_id);
+    current[c] = Value{e.value};
+    if (e.extension) touched[c] = true;
+    pending_t = e.t;
+    has_pending = true;
+  }
+  emit_row();
+
+  std::vector<dataflow::Field> fields{{"t", dataflow::ValueType::Int64}};
+  for (const std::string& name : columns) {
+    fields.push_back({name, dataflow::ValueType::String});
+  }
+  const std::size_t parts = partitions == 0 ? 1 : partitions;
+  const std::size_t per =
+      std::max<std::size_t>(1, (rows.size() + parts - 1) / parts);
+  dataflow::TableBuilder builder(dataflow::Schema{std::move(fields)}, per);
+  for (std::vector<Value>& row : rows) builder.append_row(std::move(row));
   return builder.build();
 }
 

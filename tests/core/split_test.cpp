@@ -152,7 +152,8 @@ TEST(SplitTest, ManyPartitionsMergeInOrder) {
   for (int i = 0; i < 40; ++i) {
     rows.push_back({i, "a", static_cast<double>(i), true, "", false});
   }
-  auto table = make_ks(rows).repartitioned(8);
+  const auto table = make_ks(rows, (rows.size() + 7) / 8);
+  ASSERT_EQ(table.num_partitions(), 8u);
   const SplitDataResult result = split_signals_data(engine(), table);
   ASSERT_EQ(result.sequences.size(), 1u);
   for (std::size_t i = 0; i < 40; ++i) {

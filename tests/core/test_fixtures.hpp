@@ -142,8 +142,10 @@ struct KsRow {
   std::string bus = "FC";
 };
 
-inline dataflow::Table make_ks(const std::vector<KsRow>& rows) {
-  dataflow::TableBuilder builder(ks_schema(), 0);
+/// K_s with `partition_rows` rows per partition (0 = one partition).
+inline dataflow::Table make_ks(const std::vector<KsRow>& rows,
+                               std::size_t partition_rows = 0) {
+  dataflow::TableBuilder builder(ks_schema(), partition_rows);
   for (const KsRow& row : rows) {
     dataflow::Partition& dst = builder.current_partition();
     dst.columns[0].append_int64(row.t);

@@ -49,26 +49,8 @@ TEST_F(OpsEdgeTest, ProjectEmpty) {
   EXPECT_EQ(out.schema().size(), 1u);
 }
 
-TEST_F(OpsEdgeTest, SortEmpty) {
-  EXPECT_EQ(sort_by(engine_, empty_table(), {{"v", true}}).num_rows(), 0u);
-}
-
-TEST_F(OpsEdgeTest, SortSingleRow) {
-  const Table out = sort_by(engine_, one_row(), {{"v", false}});
-  EXPECT_EQ(out.num_rows(), 1u);
-}
-
-TEST_F(OpsEdgeTest, RepartitionEmpty) {
-  EXPECT_EQ(empty_table().repartitioned(8).num_rows(), 0u);
-}
-
 TEST_F(OpsEdgeTest, ProjectUnknownColumnThrows) {
   EXPECT_THROW(project(engine_, one_row(), {"zz"}), ivt::errors::Error);
-}
-
-TEST_F(OpsEdgeTest, SortUnknownColumnThrows) {
-  EXPECT_THROW(sort_by(engine_, one_row(), {{"zz", true}}),
-               ivt::errors::Error);
 }
 
 }  // namespace

@@ -59,20 +59,6 @@ TEST(TableTest, ForEachRowVisitsAllInOrder) {
   EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(TableTest, RepartitionedPreservesOrderAndContent) {
-  const Table t = make_table(10, 3);
-  const Table r = t.repartitioned(5);
-  EXPECT_EQ(r.num_partitions(), 5u);
-  EXPECT_EQ(r.collect_rows(), t.collect_rows());
-}
-
-TEST(TableTest, RepartitionedToOne) {
-  const Table t = make_table(4, 1);
-  const Table r = t.repartitioned(1);
-  EXPECT_EQ(r.num_partitions(), 1u);
-  EXPECT_EQ(r.num_rows(), 4u);
-}
-
 TEST(TableTest, AddPartitionValidatesWidth) {
   Table t(test_schema());
   Partition p;  // empty columns

@@ -174,6 +174,9 @@ TEST_P(DistEquivalenceTest, SeededFailuresRecoverByteIdentical) {
     dcfg.nodes = 4;
     dcfg.failure_rate = 0.05;
     dcfg.seed = seed;
+    // No speculative duplicates: a dead node's range can then only finish
+    // through re-assignment, which is the path this test must reach.
+    dcfg.speculate_min_age = 1'000'000;
     const testdiff::RunOutcome dist =
         run_dist_outcome(reader, base_config(), dcfg);
     ASSERT_TRUE(testdiff::outcomes_equivalent(batch, dist));

@@ -75,11 +75,30 @@ TEST(LruCacheTest, ByteAccountingAcrossReplace) {
 TEST(LruCacheTest, OversizedValueIsNotRetained) {
   OneShardCache cache(8 * 100);
   cache.put("small", val(1), 10);
-  cache.put("huge", val(2), 1000);  // > shard budget: evicted immediately
+  cache.put("huge", val(2), 1000);  // > shard budget: not stored
   EXPECT_EQ(cache.get("huge"), nullptr);
+  // Nor does it flush what fits: the small entry stays warm.
+  const auto small = cache.get("small");
+  ASSERT_NE(small, nullptr);
+  EXPECT_EQ(*small, 1);
   const LruCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.bytes, 0u) << "oversized insert must not leak bytes";
-  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 10u) << "oversized insert must not leak bytes";
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.insertions, 1u);
+}
+
+TEST(LruCacheTest, OversizedValueDropsTheOldEntryUnderItsKey) {
+  OneShardCache cache(8 * 100);
+  cache.put("a", val(1), 10);
+  cache.put("b", val(2), 10);
+  cache.put("a", val(3), 1000);  // must not keep serving the stale value
+  EXPECT_EQ(cache.get("a"), nullptr);
+  EXPECT_NE(cache.get("b"), nullptr);
+  const LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytes, 10u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(LruCacheTest, SingleShardAdmitsEntryUpToFullBudget) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -107,6 +108,26 @@ TEST_F(ServerTest, PingListAndStats) {
   ASSERT_NE(stats.body.find("chunk_cache"), nullptr);
   ASSERT_NE(stats.body.find("state_cache"), nullptr);
   ASSERT_NE(stats.body.find("latency"), nullptr);
+}
+
+TEST_F(ServerTest, SequentialRequestsDoNotWaitForDelayedAcks) {
+  // A frame written as header, JSON and payload in separate sends stalls
+  // behind Nagle's algorithm and the peer's delayed ACK, about 40 ms per
+  // side and request. One write per frame and TCP_NODELAY on both ends
+  // keep a ping round trip far below that.
+  const auto server = make_server();
+  Client client(server->host(), server->port());
+  constexpr int kPings = 30;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500))
+      << kPings << " sequential pings took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms";
 }
 
 TEST_F(ServerTest, StateMatchesBatchPipeline) {

@@ -4,8 +4,9 @@
 // payloads and the sign of zero count) over seeded inputs that include
 // NaN, ±inf, −0.0, subnormals and 1e300, at every size from 0 to 260 —
 // below one 4-lane block, across the 64-term residual blocks, and with
-// windows wider than the input. The one exception is the payload of a
-// residual sum where NaNs of different payloads meet (see
+// windows wider than the input. The one exception, which batch.hpp's
+// contract leaves open, is the payload of a sum where NaNs of different
+// payloads meet: a moving-average window or a residual sum (see
 // ResidualSumSquaresMatchesScalarBitForBit).
 #include "support/batch.hpp"
 
@@ -135,11 +136,16 @@ std::vector<double> make_values(std::mt19937_64& rng, std::size_t n,
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// Every output has the scalar oracle's bits, except that a NaN output
+/// may carry another NaN payload when `nan_payload_open`.
 void expect_same_bits(const std::vector<double>& batched,
                       const std::vector<double>& scalar,
-                      const std::string& where) {
+                      bool nan_payload_open, const std::string& where) {
   ASSERT_EQ(batched.size(), scalar.size()) << where;
   for (std::size_t i = 0; i < scalar.size(); ++i) {
+    if (nan_payload_open && std::isnan(batched[i]) && std::isnan(scalar[i])) {
+      continue;
+    }
     ASSERT_EQ(bits(batched[i]), bits(scalar[i]))
         << where << " output " << i << ": " << batched[i] << " vs "
         << scalar[i];
@@ -200,13 +206,17 @@ TEST(BatchTest, PrefixSumWrapsLikeUnsignedArithmetic) {
 }
 
 TEST(BatchTest, MovingAverageMatchesScalarBitForBit) {
+  // A window sum adds NaNs of different payloads under Mix::All, and which
+  // one an addition returns depends on its operand order, which a
+  // compiler may swap. So there only NaN itself is pinned; under
+  // Mix::OneNan every bit is.
   std::mt19937_64 rng(12);
   for (const Mix mix : {Mix::Finite, Mix::Edges, Mix::OneNan, Mix::All}) {
     for (std::size_t n = 0; n <= kMaxSize; ++n) {
       const std::vector<double> xs = make_values(rng, n, mix);
       for (const std::size_t half : half_windows(n)) {
         expect_same_bits(moving_average(xs, half),
-                         scalar_moving_average(xs, half),
+                         scalar_moving_average(xs, half), mix == Mix::All,
                          "mix=" + std::to_string(static_cast<int>(mix)) +
                              " n=" + std::to_string(n) +
                              " half_window=" + std::to_string(half));
