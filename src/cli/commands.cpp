@@ -236,8 +236,9 @@ commands:
       --ranges N              ranges to cut the job into (default:
                               4 x --expect-workers, min 8)
       --expect-workers N      sizing hint for --ranges (default 4)
-      --heartbeat-ms MS       heartbeat cadence workers are told to use
-                              (default 50)
+      --heartbeat-ms MS       heartbeat cadence workers are told to use,
+                              and the longest an idle worker's dist.next
+                              waits for work (default 50)
       --dead-after-missed K   beats missed before a worker is declared
                               dead and its ranges re-assigned (default 3)
       --speculate-min-age G   duplicate an in-flight range at least G
@@ -253,7 +254,8 @@ commands:
       --name ID               stable identity on the coordinator's hash
                               ring (required; re-registering under the
                               same name supersedes the old registration)
-      --timeout-ms MS         per-RPC client deadline (default 5000)
+      --timeout-ms MS         per-RPC client deadline; must exceed the
+                              coordinator's --heartbeat-ms (default 5000)
       --register-timeout-ms MS  give up when the coordinator has not
                               accepted registration after MS (default
                               10000)
@@ -1115,10 +1117,11 @@ int cmd_coordinator(const Args& args) {
   } else {
     std::printf("%s", core::report_to_text(result).c_str());
   }
-  // Keep answering dist.next with done:true for a couple of heartbeats so
-  // idle workers polling at heartbeat cadence observe completion instead
-  // of a refused connection (they would still terminate — bounded by
-  // their unreachable deadline — but this way they exit cleanly).
+  // Parked dist.next polls already answered done:true when the last
+  // result landed. Linger a couple of heartbeats anyway: the losing copy
+  // of a speculative race ships its result late, and it should get an
+  // answer (deduplicated) instead of a refused connection that would make
+  // its worker retry until its deadline and exit with an error.
   std::this_thread::sleep_for(
       std::chrono::milliseconds(2 * ccfg.heartbeat_ms));
   coordinator.stop();

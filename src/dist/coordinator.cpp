@@ -125,6 +125,9 @@ void Coordinator::start() {
 void Coordinator::request_stop() noexcept {
   stopping_.store(true, std::memory_order_release);
   done_cv_.notify_all();
+  // Not under mutex_ (signal context), so a wait about to start can miss
+  // these; every wait is timed, and stop() wakes them again race-free.
+  work_cv_.notify_all();
   if (stop_pipe_[1] >= 0) {
     const char byte = 1;
     [[maybe_unused]] const ssize_t ignored =
@@ -135,6 +138,14 @@ void Coordinator::request_stop() noexcept {
 void Coordinator::stop() {
   if (stopped_.exchange(true)) return;
   request_stop();
+  {
+    // Every wait that checked stopping_ before the store above is
+    // parked by the time this lock is ours, so these wakes cannot be
+    // missed the way request_stop()'s can.
+    const support::MutexLock lock(mutex_);
+  }
+  done_cv_.notify_all();
+  work_cv_.notify_all();
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
   }
@@ -309,58 +320,88 @@ serve::Frame Coordinator::handle_heartbeat(const json::Value& body) {
   const auto id = static_cast<std::uint64_t>(body.get_int("worker_id", 0));
   const auto gen = static_cast<std::uint64_t>(body.get_int("generation", 0));
   bool known = false;
+  bool done = false;
   {
     const support::MutexLock lock(mutex_);
     if (Member* m = find_live(id, gen); m != nullptr) {
       m->last_beat = std::chrono::steady_clock::now();
       known = true;
     }
+    done = tracker_.all_done();
   }
-  return serve::Frame{
-      json::Object{}.add("ok", true).add("known", known).str(), {}};
+  return serve::Frame{json::Object{}
+                          .add("ok", true)
+                          .add("known", known)
+                          .add("done", done)
+                          .str(),
+                      {}};
 }
 
 serve::Frame Coordinator::handle_next(const json::Value& body) {
   const auto id = static_cast<std::uint64_t>(body.get_int("worker_id", 0));
   const auto gen = static_cast<std::uint64_t>(body.get_int("generation", 0));
-  json::Object reply;
-  reply.add("ok", true);
-  const support::MutexLock lock(mutex_);
-  Member* m = find_live(id, gen);
-  if (m == nullptr) {
-    reply.add("known", false);
-    return serve::Frame{reply.str(), {}};
-  }
-  reply.add("known", true);
-  m->last_beat = std::chrono::steady_clock::now();  // asking == alive
-  if (tracker_.all_done()) {
-    reply.add("done", true);
-    return serve::Frame{reply.str(), {}};
-  }
-  const std::string key = member_key(*m);
+  const auto park_end = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.heartbeat_ms);
+  bool known = false;
+  bool done = false;
+  bool assigned = false;
   ChunkRange range;
   std::uint64_t epoch = 0;
-  bool assigned = tracker_.next(key, ring_, range, epoch);
-  if (!assigned && config_.speculate_min_age > 0) {
-    // No pending work but the job is not done: this worker is idle while
-    // others still hold ranges — the textbook straggler window. Duplicate
-    // the oldest in-flight range; first completion wins.
-    assigned =
-        tracker_.speculate(key, config_.speculate_min_age, range, epoch);
-    if (assigned) {
-      ++stats_.speculative_launched;
-      OBS_COUNT("dist.speculative_launched", 1);
+  {
+    support::MutexLock lock(mutex_);
+    for (bool first = true;; first = false) {
+      // Looked up again on every wake: a generation declared dead or
+      // superseded while its poll was parked reads as a zombie's.
+      Member* m = find_live(id, gen);
+      known = m != nullptr;
+      if (!known) break;
+      const auto now = std::chrono::steady_clock::now();
+      m->last_beat = now;  // asking, and waiting parked, is a heartbeat
+      done = tracker_.all_done();
+      if (done) break;
+      const std::string key = member_key(*m);
+      if (first) {
+        // A worker asks only when it holds no grant, so a grant still
+        // live under it is one whose reply never arrived (client
+        // timeout, torn connection). Re-queue it: left alone it would sit
+        // in flight under a live worker until speculation rescued it.
+        const std::uint64_t lost = tracker_.revoke(key);
+        if (lost > 0) OBS_COUNT("dist.lost_grants_requeued", lost);
+      }
+      assigned = tracker_.next(key, ring_, range, epoch);
+      if (!assigned && config_.speculate_min_age > 0) {
+        // No pending work but the job is not done: this worker is idle
+        // while others still hold ranges — the textbook straggler
+        // window. Duplicate the oldest in-flight range; first completion
+        // wins.
+        assigned =
+            tracker_.speculate(key, config_.speculate_min_age, range, epoch);
+        if (assigned) {
+          ++stats_.speculative_launched;
+          OBS_COUNT("dist.speculative_launched", 1);
+        }
+      }
+      if (assigned) {
+        work_cv_.notify_all();
+        break;
+      }
+      if (stopping_.load(std::memory_order_acquire) || now >= park_end) {
+        break;
+      }
+      work_cv_.wait_for(lock, park_end - now);
     }
   }
-  if (assigned) {
+  json::Object reply;
+  reply.add("ok", true).add("known", known);
+  if (done) {
+    reply.add("done", true);
+  } else if (assigned) {
     json::Object task;
     task.add("range_id", range.id)
         .add("epoch", epoch)
         .add("begin", range.begin)
         .add("end", range.end);
     reply.raw("task", task.str());
-  } else {
-    reply.add("wait_ms", static_cast<std::int64_t>(config_.heartbeat_ms));
   }
   return serve::Frame{reply.str(), {}};
 }
@@ -456,6 +497,7 @@ serve::Frame Coordinator::handle_result(const json::Value& body,
         range_failures_[range_id] = std::move(failures);
         OBS_COUNT("dist.ranges_accepted", 1);
         if (tracker_.all_done()) done_cv_.notify_all();
+        work_cv_.notify_all();
         break;
       case CompletionFate::Duplicate:
       case CompletionFate::Stale:
@@ -474,6 +516,11 @@ serve::Frame Coordinator::handle_result(const json::Value& body,
                           .add("done", done)
                           .str(),
                       {}};
+}
+
+core::DistStats Coordinator::dist_stats() {
+  const support::MutexLock lock(mutex_);
+  return stats_;
 }
 
 std::string Coordinator::member_key(const Member& m) {
@@ -495,7 +542,10 @@ void Coordinator::declare_dead(Member& member) {
   OBS_COUNT("dist.worker_deaths", 1);
   const std::uint64_t requeued = tracker_.revoke(member_key(member));
   stats_.ranges_reassigned += requeued;
-  if (requeued > 0) OBS_COUNT("dist.ranges_reassigned", requeued);
+  if (requeued > 0) {
+    OBS_COUNT("dist.ranges_reassigned", requeued);
+    work_cv_.notify_all();
+  }
   // Only unmap the name if this member still owns it (a re-registration
   // may already have taken it over).
   const auto it = current_id_by_name_.find(member.name);
@@ -517,6 +567,9 @@ void Coordinator::monitor_loop() {
     done_cv_.wait_for(lock,
                       std::chrono::milliseconds(config_.heartbeat_ms));
     if (stopping_.load(std::memory_order_acquire)) break;
+    // A finished job has nothing to re-queue, and the workers leaving it
+    // are not failures.
+    if (tracker_.all_done()) continue;
     const auto now = std::chrono::steady_clock::now();
     for (auto& [id, member] : members_) {
       if (!member.alive) continue;
@@ -542,9 +595,11 @@ core::PipelineResult Coordinator::wait_result(dataflow::Engine& engine,
   core::DistStats dist_stats;
   {
     support::MutexLock lock(mutex_);
+    // Timed: request_stop() notifies without mutex_, so a wake-up can
+    // slip in between the check and the wait.
     while (!tracker_.all_done() &&
            !stopping_.load(std::memory_order_acquire)) {
-      done_cv_.wait(lock);
+      done_cv_.wait_for(lock, std::chrono::milliseconds(config_.heartbeat_ms));
     }
     if (!tracker_.all_done()) {
       IVT_THROW(errors::Category::Internal,

@@ -10,6 +10,10 @@
 //   monitor thread ──► declares workers dead after K missed beats,
 //                      revokes and re-queues their in-flight ranges
 //
+// dist.next is a long poll: with nothing to hand out, the handler parks
+// on work_cv_ for up to one heartbeat, so an idle worker learns of a
+// re-queued range or of the job's end the moment it happens.
+//
 // Correctness story (the part the equivalence tests pin down): the
 // RangeTracker accepts exactly one (range, epoch) result per range, and
 // every accepted result's segments flow into the same KeyedSegments +
@@ -58,7 +62,8 @@ struct CoordinatorConfig {
   std::uint64_t target_ranges = 0;
   std::size_t expected_workers = 4;  ///< sizing hint only, not a limit
   /// Heartbeat cadence workers are told to use; a worker is dead after
-  /// `dead_after_missed` × `heartbeat_ms` without a beat.
+  /// `dead_after_missed` × `heartbeat_ms` without a beat. Also the
+  /// longest a dist.next poll stays parked.
   int heartbeat_ms = 50;
   int dead_after_missed = 3;
   /// Straggler policy: an idle worker (no pending ranges left) may run a
@@ -100,6 +105,12 @@ class Coordinator {
   /// errors::Error(Internal) when stop() wins the race instead.
   core::PipelineResult wait_result(dataflow::Engine& engine,
                                    colstore::ScanStats* stats = nullptr);
+
+  /// Recovery counters so far. Once every worker has left they are the
+  /// run's final ones: unlike wait_result()'s, they include what arrived
+  /// after the last range was accepted (a speculative loser's result, a
+  /// registration dropped on its way in).
+  [[nodiscard]] core::DistStats dist_stats();
 
   /// Async-signal-safe: wake wait_result()/wait loops for teardown.
   void request_stop() noexcept;
@@ -159,6 +170,9 @@ class Coordinator {
 
   support::Mutex mutex_{support::LockRank::k_dist_Coordinator_mutex_};
   support::CondVar done_cv_;  ///< signaled when all ranges are accepted
+  /// Wakes parked dist.next polls: signaled on every grant (it moves
+  /// speculation's logical clock), accepted result, re-queue and stop.
+  support::CondVar work_cv_;
   RangeTracker tracker_ IVT_GUARDED_BY(mutex_);
   HashRing ring_ IVT_GUARDED_BY(mutex_);
   std::unordered_map<std::uint64_t, Member> members_ IVT_GUARDED_BY(mutex_);

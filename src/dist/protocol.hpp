@@ -7,15 +7,23 @@
 //     -> {"ok": true, "worker_id", "generation", "heartbeat_ms",
 //         "dead_after_missed", "trace_id", "job": {JobSpec}}
 //   dist.heartbeat  {"op", "worker_id", "generation"}
-//     -> {"ok": true, "known": bool}
+//     -> {"ok": true, "known": bool, "done": bool}
 //   dist.next       {"op", "worker_id", "generation"}
-//     -> {"ok": true, "known": bool, and one of
-//         "task": {"range_id", "epoch", "begin", "end"} |
-//         "done": true | "wait_ms": N}
+//     -> {"ok": true, "known": bool, and at most one of
+//         "task": {"range_id", "epoch", "begin", "end"} | "done": true}
 //   dist.result     {"op", "worker_id", "generation", "range_id",
 //                    "epoch", counters..., "failures": [...]}
 //                   + payload = partial_codec-encoded split segments
-//     -> {"ok": true, "accepted": bool}
+//     -> {"ok": true, "accepted": bool, "done": bool}
+//
+// dist.next is a long poll. With nothing to hand out, the coordinator
+// parks the request for up to `heartbeat_ms` and answers as soon as a
+// range is pending, a speculative copy is due or the job is done; an
+// answer with neither "task" nor "done" means "ask again now". A parked
+// poll counts as a heartbeat, so a worker's RPC deadline must exceed
+// `heartbeat_ms`. A worker asks only when it holds no grant: a grant
+// still live under the asker is one whose reply was lost, and it is
+// re-queued before anything is assigned.
 //
 // `known: false` tells a worker the coordinator declared it dead (missed
 // heartbeats) — its reaction is to re-register under the same name and

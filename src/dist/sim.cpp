@@ -64,8 +64,9 @@ core::PipelineResult run_dist(const signaldb::Catalog& catalog,
         opts.host = coordinator.host();
         opts.port = coordinator.port();
         // The incarnation is baked into the ring identity so a respawn
-        // draws a fresh death schedule; ring placement shifts only for
-        // this node's share (consistent hashing).
+        // joins as a new member and its dead predecessor is left for the
+        // monitor to find, as a crashed process would be; ring placement
+        // shifts only for this node's share (consistent hashing).
         opts.name = "node" + std::to_string(slot + 1) + "." +
                     std::to_string(incarnation);
         opts.timeout_ms = dist_config.worker_timeout_ms;
@@ -130,6 +131,8 @@ core::PipelineResult run_dist(const signaldb::Catalog& catalog,
   job_done.store(true, std::memory_order_release);
   for (std::thread& t : slots) t.join();
   coordinator.stop();
+  // Every worker has left, so the accounting is complete.
+  result.dist = coordinator.dist_stats();
   return result;
 }
 

@@ -9,8 +9,8 @@
 // multi-process deployment runs.
 //
 // Self-healing: when a node dies its slot respawns it as a fresh
-// incarnation ("node2.1" → "node2.2") whose draws differ — the cluster
-// heals itself without operator action. A shared respawn budget
+// incarnation ("node2.1" → "node2.2") — the cluster heals itself without
+// operator action. A shared respawn budget
 // (default 4 × nodes) bounds the worst case: once it is exhausted,
 // replacements come up with failure injection disabled, so a run with a
 // hostile failure rate still terminates, deterministically, with every
@@ -47,14 +47,15 @@ struct DistRunConfig {
   /// Respawns across all slots before replacements run failure-free;
   /// 0 = 4 × nodes.
   std::size_t respawn_budget = 0;
-  /// Per-RPC client deadline for workers.
+  /// Per-RPC client deadline for workers; must exceed heartbeat_ms.
   int worker_timeout_ms = 5000;
   /// Job trace id (0 = mint) for one merged `ivt trace-merge` timeline.
   std::uint64_t trace_id = 0;
 };
 
 /// Run the full distributed job and return the merged result (identical
-/// to batch/streaming byte-for-byte; see Coordinator). Throws
+/// to batch/streaming byte-for-byte; see Coordinator). Its DistStats are
+/// read after every node has left, so they cover the whole run. Throws
 /// errors::Error when the cluster cannot finish the job — every node
 /// slot permanently failed — rather than hanging.
 core::PipelineResult run_dist(const signaldb::Catalog& catalog,

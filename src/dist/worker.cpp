@@ -1,5 +1,6 @@
 #include "dist/worker.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "dist/protocol.hpp"
 #include "errors/error.hpp"
 #include "errors/failure_log.hpp"
+#include "faultfx/faultfx.hpp"
 #include "obs/obs.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
@@ -50,6 +52,7 @@ struct Registration {
   std::uint64_t worker_id = 0;
   std::uint64_t generation = 0;
   int heartbeat_ms = 50;
+  int dead_after_missed = 3;
   std::uint64_t trace_id = 0;
   JobSpec job;
 };
@@ -68,6 +71,8 @@ Registration register_once(const WorkerOptions& options) {
       static_cast<std::uint64_t>(response.body.get_int("generation", 0));
   reg.heartbeat_ms =
       static_cast<int>(response.body.get_int("heartbeat_ms", 50));
+  reg.dead_after_missed =
+      static_cast<int>(response.body.get_int("dead_after_missed", 3));
   reg.trace_id =
       obs::parse_trace_id_hex(response.body.get_string("trace_id", ""));
   const json::Value* job = response.body.find("job");
@@ -338,11 +343,63 @@ std::string result_body(const Registration& reg, const TaskAssignment& task,
       .str();
 }
 
+/// The dist.hold fault: a worker that stalls on a fresh grant. It stops
+/// beating and sits on the range until the coordinator has declared it
+/// dead and revoked its generation; the caller then ships the range as a
+/// zombie whose result must come back fenced. The death and the
+/// re-assignment are certain instead of a race against the range's run
+/// time. A probe beat asks whether the revocation happened; a probe that
+/// finds the worker still live restarts its deadline, so the next one
+/// waits two full deadlines. A job that ended anyway (a speculative copy
+/// finished the range) or a coordinator that cannot be reached any more
+/// ends the hold as well.
+template <class Rpc>
+void hold_until_revoked(const Registration& reg, const Rpc& rpc) {
+  OBS_SPAN("dist.hold");
+  const std::string probe = json::Object{}
+                                .add("op", kOpHeartbeat)
+                                .add("worker_id", reg.worker_id)
+                                .add("generation", reg.generation)
+                                .str();
+  const std::int64_t silence_ms =
+      2 * std::int64_t{std::max(reg.dead_after_missed, 1)} * reg.heartbeat_ms;
+  for (std::int64_t wait_ms = silence_ms;;) {
+    sleep_ms(wait_ms);
+    serve::ClientResponse response;
+    try {
+      response = rpc(probe);
+    } catch (const errors::Error&) {
+      return;
+    }
+    if (!response.ok()) {
+      // Dropped before it was recorded (dist.heartbeat fault): the
+      // silence goes on, so ask again a beat later.
+      wait_ms = reg.heartbeat_ms;
+    } else if (!response.body.get_bool("known", true) ||
+               response.body.get_bool("done", false)) {
+      return;
+    } else {
+      wait_ms = silence_ms;
+    }
+  }
+}
+
 }  // namespace
 
 WorkerOutcome run_worker(const WorkerOptions& options) {
   WorkerOutcome outcome;
   Registration reg = register_with_backoff(options, outcome.register_attempts);
+  // An idle dist.next stays parked at the coordinator for up to one
+  // heartbeat; a deadline that does not outlast the park would time out
+  // every idle poll.
+  if (options.timeout_ms > 0 && options.timeout_ms <= reg.heartbeat_ms) {
+    IVT_THROW(errors::Category::Spec,
+              "dist: worker RPC timeout of " +
+                  std::to_string(options.timeout_ms) +
+                  " ms must exceed the coordinator's heartbeat of " +
+                  std::to_string(reg.heartbeat_ms) +
+                  " ms, the longest a dist.next poll stays parked");
+  }
   obs::set_current_node(static_cast<std::int32_t>(reg.worker_id));
   const obs::TraceContextScope trace_scope(
       obs::TraceContext{reg.trace_id, /*span_id=*/1});
@@ -351,7 +408,6 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
 
   auto heartbeat = std::make_unique<HeartbeatThread>(options, reg);
   std::unique_ptr<serve::Client> client;
-  std::uint64_t task_ordinal = 0;
 
   const auto rpc = [&](const std::string& body) -> serve::ClientResponse {
     sleep_ms(options.sim.latency_ms);
@@ -424,10 +480,7 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
       break;
     }
     const json::Value* task_json = next_body.find("task");
-    if (task_json == nullptr) {
-      sleep_ms(next_body.get_int("wait_ms", reg.heartbeat_ms));
-      continue;
-    }
+    if (task_json == nullptr) continue;  // the park ran out: ask again now
     TaskAssignment task;
     task.range_id =
         static_cast<std::uint64_t>(task_json->get_int("range_id", 0));
@@ -436,15 +489,12 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
     task.end = static_cast<std::uint64_t>(task_json->get_int("end", 0));
 
     // --- simulated node death -----------------------------------------
-    // One seeded draw per assignment, keyed on (seed, name, ordinal):
-    // deterministic across reruns, independent across workers and
-    // incarnations (respawns change the name).
-    const std::uint64_t draw_key = options.sim.seed ^
-                                   stable_hash(options.name) ^
-                                   (task_ordinal << 17U);
-    ++task_ordinal;
+    // One seeded draw per grant, keyed on (seed, epoch). Epochs count the
+    // coordinator's grants, so which grants die is a function of the seed
+    // alone — not of which worker the scheduler happened to hand them to.
     if (options.sim.failure_rate > 0.0 &&
-        unit_draw(draw_key) < options.sim.failure_rate) {
+        unit_draw(options.sim.seed ^ (task.epoch << 17U)) <
+            options.sim.failure_rate) {
       // Die *mid-range*, the nastiest moment: some morsels decoded (the
       // cursor's counters already advanced), nothing shipped. The
       // heartbeats stop; the coordinator must discard this partial state
@@ -459,6 +509,14 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
       heartbeat->stop();
       outcome.simulated_death = true;
       return outcome;
+    }
+
+    try {
+      FAULT_POINT("dist.hold");
+    } catch (const errors::Error&) {
+      heartbeat->stop();
+      hold_until_revoked(reg, rpc);
+      client.reset();  // a failed probe may have left it mid-frame
     }
 
     // --- process + ship -----------------------------------------------

@@ -4,7 +4,9 @@
 // sim layer's node threads both just call it): it registers with the
 // coordinator under jittered exponential backoff, starts a heartbeat
 // thread, then loops dist.next → process range → dist.result until the
-// coordinator answers done. All compute goes through the shared
+// coordinator answers done. An idle dist.next is parked coordinator-side
+// for up to a heartbeat; an empty answer is asked again at once. All
+// compute goes through the shared
 // core::MorselProcessor, so a partial computed here is bit-identical to
 // one computed by any other worker or by the in-process modes.
 //
@@ -18,11 +20,13 @@
 //     abandoned (the coordinator already revoked it).
 //
 // The simulated node layer threads through SimOptions: a seeded
-// per-assignment death draw (the worker stops heartbeating and abandons
-// the range mid-way — exactly the crash profile the coordinator must
-// recover from), an added per-RPC latency, and a per-morsel slowdown for
-// straggler experiments. All draws are splitmix64 over (seed, worker
-// name, task ordinal): deterministic, faultfx-style.
+// per-grant death draw (the worker stops heartbeating and abandons the
+// range mid-way — exactly the crash profile the coordinator must recover
+// from), an added per-RPC latency, and a per-morsel slowdown for
+// straggler experiments. The death draw is splitmix64 over (seed, grant
+// epoch): the coordinator numbers its grants, so which grants die is a
+// function of the seed alone, not of which worker the scheduler handed
+// them to — deterministic, faultfx-style.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +49,12 @@ struct WorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   /// Stable identity on the coordinator's hash ring. Sim respawns bake
-  /// the incarnation into the name ("node2.3") so a replacement gets
-  /// fresh death draws.
+  /// the incarnation into the name ("node2.3") so a replacement joins as
+  /// a new member instead of superseding its dead predecessor.
   std::string name;
   /// Client deadline per RPC (serve::Client timeout_ms); 0 = blocking.
+  /// Must exceed the coordinator's heartbeat_ms, the longest a dist.next
+  /// poll stays parked: run_worker throws a Spec error otherwise.
   int timeout_ms = 5000;
   /// Give up registering after this long (coordinator never came up).
   int register_timeout_ms = 10000;

@@ -1,9 +1,11 @@
-// Fault injection against the coordinator's three dist.* sites, armed
-// programmatically with the same recipes IVT_FAULTS would carry:
+// Fault injection against the coordinator's three dist.* sites and the
+// worker's dist.hold, armed programmatically with the same recipes
+// IVT_FAULTS would carry:
 //
 //   dist.register  — dropped registrations are retried under backoff
 //   dist.heartbeat — starved beats kill the worker; its ranges are
 //                    re-assigned and the merge stays byte-identical
+//                    (dist.hold makes one such death certain)
 //   dist.result    — dropped results are re-sent, not lost; the
 //                    (range, epoch) dedup makes retries safe
 //
@@ -126,7 +128,13 @@ TEST_F(DistFaultTest, StarvedHeartbeatsKillReassignAndMergeCorrectly) {
   // drops — p^3 ~= 0.51 per window, so a multi-window range attempt dies
   // more often than not, yet survives often enough (~25-40 %) that the
   // job finishes in seconds instead of relying on a rare lucky streak.
-  ASSERT_GT(faultfx::arm("dist.heartbeat:error:0.8:seed=3"), 0u);
+  // Whether those drops line up within a range's run time is a race, so
+  // one grant in every four is also held: its worker stops beating and
+  // sits on the range until its generation is revoked. At least four
+  // grants are made, so at least one death is certain.
+  ASSERT_GT(faultfx::arm("dist.heartbeat:error:0.8:seed=3,"
+                         "dist.hold:error:every=4"),
+            0u);
   dist::DistRunConfig dcfg = dist_config();
   dcfg.nodes = 3;
   dcfg.heartbeat_ms = 20;
@@ -138,6 +146,7 @@ TEST_F(DistFaultTest, StarvedHeartbeatsKillReassignAndMergeCorrectly) {
   faultfx::disarm_all();
 
   EXPECT_GE(faultfx::triggered("dist.heartbeat"), 1u);
+  EXPECT_GE(faultfx::triggered("dist.hold"), 1u);
   ASSERT_FALSE(dist.threw) << dist.error;
   EXPECT_EQ(dist.exit_code, 0);
   EXPECT_GE(dist.result.dist.worker_deaths, 1u)
