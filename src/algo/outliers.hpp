@@ -27,8 +27,14 @@ struct OutlierConfig {
   std::size_t window = 5;
 };
 
-/// Per-element outlier mask (1 = outlier). Never flags anything for series
-/// shorter than 3 elements or with zero spread.
+/// Per-element outlier mask (1 = outlier).
+///
+/// Non-finite values (NaN, ±inf), whatever the method: each is always
+/// flagged, so a branch merges it back as a potential error ("outlier
+/// v=nan"), and the method runs over the remaining finite values in their
+/// order, as if the non-finite ones were absent. No statistic is ever
+/// taken over a non-finite value. Of the finite values, none is flagged
+/// when fewer than 3 of them remain or their spread is zero.
 std::vector<std::uint8_t> detect_outliers(std::span<const double> xs,
                                           const OutlierConfig& config = {});
 

@@ -68,12 +68,38 @@ double quantile(std::span<const double> xs, double q) {
   return copy[lo] * (1.0 - frac) + copy[hi] * frac;
 }
 
-double median_absolute_deviation(std::span<const double> xs) {
-  const double med = median(xs);
-  std::vector<double> dev;
-  dev.reserve(xs.size());
-  for (double x : xs) dev.push_back(std::fabs(x - med));
-  return median(dev);
+double sorted_median(std::span<const double> sorted) {
+  if (sorted.empty()) throw std::invalid_argument("median of empty range");
+  const std::size_t mid = sorted.size() / 2;
+  if (sorted.size() % 2 == 1) return sorted[mid];
+  return 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
+double sorted_median_absolute_deviation(std::span<const double> sorted,
+                                        double center) {
+  if (sorted.empty()) throw std::invalid_argument("median of empty range");
+  // Rounding is monotone, so x - center is non-decreasing in x: the left
+  // run [0, split) read backwards and the right run [split, n) read
+  // forwards both give non-decreasing |x - center|. Merging them yields
+  // the deviations in ascending order; stop at the upper middle.
+  const std::size_t n = sorted.size();
+  const std::size_t split = static_cast<std::size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), center) -
+      sorted.begin());
+  std::size_t left = split;  // next left element is sorted[left - 1]
+  std::size_t right = split;
+  double previous = 0.0;
+  double current = 0.0;
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    previous = current;
+    const bool take_left =
+        left > 0 && (right == n || std::fabs(sorted[left - 1] - center) <=
+                                       std::fabs(sorted[right] - center));
+    current = take_left ? std::fabs(sorted[--left] - center)
+                        : std::fabs(sorted[right++] - center);
+  }
+  if (n % 2 == 1) return current;
+  return 0.5 * (previous + current);
 }
 
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {

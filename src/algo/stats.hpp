@@ -38,8 +38,18 @@ double median(std::span<const double> xs);
 /// Linear-interpolated quantile, q in [0,1]. Precondition: non-empty.
 double quantile(std::span<const double> xs, double q);
 
-/// Median absolute deviation (raw, not scaled). Precondition: non-empty.
-double median_absolute_deviation(std::span<const double> xs);
+/// Median of an ascending range: the value `median` returns for the same
+/// multiset, read in O(1). Precondition: non-empty.
+double sorted_median(std::span<const double> sorted);
+
+/// Median of |x - center| over an ascending range (the raw median absolute
+/// deviation when `center` is its median), in O(size) without allocating.
+/// The deviations of the values below `center`, read right to left, and
+/// of the rest, read left to right, are each ascending, so the middle
+/// order statistics come from merging the two runs. Precondition:
+/// non-empty, no NaN.
+double sorted_median_absolute_deviation(std::span<const double> sorted,
+                                        double center);
 
 /// Least-squares line fit y = slope*x + intercept over (xs[i], ys[i]).
 /// Degenerate inputs (constant x, size < 2) yield slope 0 through the mean.

@@ -1,6 +1,7 @@
 #include "algo/swab.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -12,6 +13,119 @@ void check_sizes(std::span<const double> ts, std::span<const double> xs) {
   if (ts.size() != xs.size()) {
     throw std::invalid_argument("segmentation: ts/xs size mismatch");
   }
+}
+
+// Both SWAB shortcuts below rest on one fact: the least-squares residual
+// R*(S) of a range S of points is at most R*(W) of any range W ⊇ S, since
+// W's best line is one candidate line for S. So when the error of W is
+// within max_error, so is the error of every range inside it, and
+// bottom-up on W merges everything (its last merge is fit_segment over
+// all of W), and a refill that reaches W passed every shorter prefix.
+//
+// The computed error c(S) = fit_segment(S).error is R*(S) plus rounding,
+// so the fact holds for c only up to a margin. every_subrange_within,
+// given cost = c(W) for W = all of ts/xs, decides only when c(W) is
+// finite and below max_error by more than that margin; otherwise the
+// caller takes the literal step. The margin, for W
+// of n points with u = 2^-53 and γ = (n+2)u / (1 - (n+2)u):
+//
+//   T = max|t|, Y = max|y|, g = min (t[j+1] - t[j]) > 0,
+//   A = max |y[j+1] - y[j]| / (t[j+1] - t[j]),
+//   Â = A + sqrt(2n)·γ·(5AT + 2Y) / g,
+//   D = sqrt(n)·(8γ·(ÂT + Y) + 2^-500),
+//   c(S) ≤ (1 + γ)·(sqrt(c(W)·(1 + 2γ)) + 2D)² + 2^-1000  for all S ⊆ W.
+//
+// Derivation, in the standard model fl(a ∘ b) = (a ∘ b)(1 + δ), |δ| ≤ u,
+// for a range S of m ≤ n points with exact means t̄, ȳ, sums sxx =
+// Σ(t - t̄)², syy = Σ(y - ȳ)², least-squares slope a* and residuals r*:
+//  1. An LS slope is a weighted mean of the consecutive slopes, so
+//     |a*| ≤ A and syy ≤ A²·sxx; two points of S give sxx ≥ g²/2.
+//  2. fit_line's means err by τ = |mx - t̄| ≤ γT and ψ ≤ γY. Its centred
+//     sums are sxx_c = (sxx + mτ²)(1 ± γ) and sxy_c = sxy + m(t̄ - mx)·
+//     (ȳ - my) ± γ·sqrt((sxx + mτ²)(syy + mψ²)). With 1 this gives
+//     |â - a*|·sqrt(sxx) ≤ sqrt(m)·((3γ + u)AT + γY)(1 + O(γ)), and,
+//     dividing by sqrt(sxx), |â| ≤ Â.
+//  3. The computed residual at t_i is r*_i - (â - a*)(t_i - t̄) plus at
+//     most (γ + 7u)|â|T + (γ + 4u)Y from the means, the rounded
+//     intercept my - â·mx and the three operations of the residual. By
+//     Minkowski's inequality over S, the 2-norm of the computed residuals
+//     is at most sqrt(R*(S)) + sqrt(n)·γ·(6ÂT + 3Y) ≤ sqrt(R*(S)) + D,
+//     and the ordered sum of their squares adds a factor (1 + γ).
+//  4. Step 3's rounding terms, applied to W's own computed line (which
+//     fits W no better than the LS line), give sqrt(R*(W)) ≤
+//     sqrt(c(W)·(1 + 2γ)) + D.
+//  5. R*(S) ≤ R*(W) joins 3 and 4 into the bound. Requiring g ≥ 2^-200
+//     and T, Y, ÂT ≤ 2^200 keeps every intermediate of fit_line and
+//     residual_sum_squares finite for n ≤ 2^20, and bounds what underflow
+//     can add by the 2^-500 and 2^-1000 terms. The bound itself is
+//     evaluated with a few roundings, then widened by 2^-40, and A with
+//     its three roundings by another 2^-40, so neither reads low.
+bool every_subrange_within(std::span<const double> ts,
+                           std::span<const double> xs, double cost,
+                           double max_error) {
+  const std::size_t n = xs.size();
+  if (n < 2 || n > (std::size_t{1} << 20)) return false;
+  if (!std::isfinite(cost) || !(cost <= max_error)) return false;
+  double t_max = 0.0;
+  double y_max = 0.0;
+  double slope_max = 0.0;
+  double gap_min = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    t_max = std::max(t_max, std::fabs(ts[i]));
+    y_max = std::max(y_max, std::fabs(xs[i]));
+    if (i + 1 == n) break;
+    const double gap = ts[i + 1] - ts[i];
+    if (!(gap >= 0x1p-200)) return false;  // also rejects NaN
+    gap_min = std::min(gap_min, gap);
+    slope_max = std::max(slope_max, std::fabs(xs[i + 1] - xs[i]) / gap);
+  }
+  if (!(t_max <= 0x1p200 && y_max <= 0x1p200)) return false;
+  const double nd = static_cast<double>(n);
+  const double gamma = (nd + 2.0) * 0x1p-53 / (1.0 - (nd + 2.0) * 0x1p-53);
+  slope_max *= 1.0 + 0x1p-40;
+  const double a_hat =
+      slope_max + std::sqrt(2.0 * nd) * gamma *
+                      (5.0 * slope_max * t_max + 2.0 * y_max) / gap_min;
+  if (!(a_hat * t_max <= 0x1p200)) return false;
+  const double d =
+      std::sqrt(nd) * (8.0 * gamma * (a_hat * t_max + y_max) + 0x1p-500);
+  const double root = std::sqrt(cost * (1.0 + 2.0 * gamma)) + 2.0 * d;
+  const double bound = (1.0 + gamma) * root * root + 0x1p-1000;
+  return bound * (1.0 + 0x1p-40) <= max_error;
+}
+
+// The refill: one greedy sliding-window segment from the tail. Its first
+// `first` points are taken unconditionally; it then grows one point at a
+// time up to `cap` points and stops before the first prefix [0, k) whose
+// error exceeds max_error. Returns its length.
+//
+// Found by binary search for that first failing k. A probe that fails
+// (error > max_error) is the same fit_segment call the one-point loop
+// makes, so the loop stops at or before it; a probe that passes with a
+// margin (every_subrange_within) passes every shorter prefix as well. A
+// probe in between is walked one point at a time, as the loop does.
+std::size_t refill_length(std::span<const double> ts,
+                          std::span<const double> xs, std::size_t first,
+                          std::size_t cap, double max_error) {
+  // Invariant: prefixes up to `good` points pass; `bad` fails, or is cap+1.
+  std::size_t good = first;
+  std::size_t bad = cap + 1;
+  while (bad - good > 1) {
+    const std::size_t mid = good + (bad - good) / 2;
+    const double cost = fit_segment(ts, xs, 0, mid).error;
+    if (cost > max_error) {
+      bad = mid;
+    } else if (every_subrange_within(ts.first(mid), xs.first(mid), cost,
+                                     max_error)) {
+      good = mid;
+    } else {
+      for (std::size_t k = good + 1; k < bad; ++k) {
+        if (fit_segment(ts, xs, 0, k).error > max_error) return k - 1;
+      }
+      return bad - 1;
+    }
+  }
+  return good;
 }
 
 }  // namespace
@@ -37,6 +151,12 @@ std::vector<Segment> bottom_up_segment(std::span<const double> ts,
   if (n == 0) return segments;
   if (n == 1) {
     segments.push_back(fit_segment(ts, xs, 0, 1));
+    return segments;
+  }
+  // Every merge would be accepted, and the last one is this very fit.
+  Segment whole = fit_segment(ts, xs, 0, n);
+  if (every_subrange_within(ts, xs, whole.error, max_error)) {
+    segments.push_back(whole);
     return segments;
   }
 
@@ -131,18 +251,13 @@ std::vector<Segment> swab_segment(std::span<const double> ts,
     // points (the "best line" step of SWAB).
     const std::size_t remaining_buffer = hi > lo ? hi - lo : 0;
     if (remaining_buffer < buffer_size && hi < n) {
-      const auto tail_ts = ts.subspan(hi);
-      const auto tail_xs = xs.subspan(hi);
-      // One greedy segment from the tail:
-      std::size_t end = std::min<std::size_t>(2, tail_xs.size());
-      Segment grow = fit_segment(tail_ts, tail_xs, 0, end);
-      while (end < tail_xs.size() && hi + end < lo + buffer_size) {
-        Segment g2 = fit_segment(tail_ts, tail_xs, 0, end + 1);
-        if (g2.error > config.max_error) break;
-        grow = g2;
-        ++end;
-      }
-      hi = std::min(n, hi + end);
+      const std::size_t first = std::min<std::size_t>(2, n - hi);
+      const std::size_t cap =
+          hi + first < lo + buffer_size
+              ? std::min(n - hi, lo + buffer_size - hi)
+              : first;
+      hi = std::min(n, hi + refill_length(ts.subspan(hi), xs.subspan(hi),
+                                          first, cap, config.max_error));
     }
     if (hi <= lo) hi = std::min(n, lo + buffer_size);
   }

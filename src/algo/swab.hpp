@@ -40,7 +40,9 @@ struct SegmentationConfig {
 
 /// Classic offline bottom-up segmentation: start from 2-point segments,
 /// repeatedly merge the cheapest adjacent pair while the merged error stays
-/// within `max_error`.
+/// within `max_error`. When the whole range's error is within `max_error`
+/// by more than a rounding bound, every merge would be accepted, so the
+/// range's own fit is returned without running them (same result, O(n)).
 std::vector<Segment> bottom_up_segment(std::span<const double> ts,
                                        std::span<const double> xs,
                                        double max_error);
@@ -53,7 +55,8 @@ std::vector<Segment> sliding_window_segment(std::span<const double> ts,
 
 /// SWAB: maintain a buffer, run bottom-up on it, emit the leftmost segment,
 /// refill with the next sliding-window segment. Produces offline-quality
-/// segmentations with online (one-pass) behaviour.
+/// segmentations with online (one-pass) behaviour. The refill's length is
+/// found by binary search; it equals the one-point-at-a-time greedy walk's.
 ///
 /// `ts` are the sample x-positions (timestamps); `xs` the values.
 /// Both spans must have equal size. An empty input yields no segments.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace ivt::algo {
@@ -50,6 +52,41 @@ TEST_P(OutlierMethodTest, TooShortSeriesNeverFlagged) {
   OutlierConfig config;
   config.method = GetParam();
   EXPECT_EQ(count_flags(detect_outliers(xs, config)), 0u);
+}
+
+TEST_P(OutlierMethodTest, NonFiniteFlaggedAndLeftOutOfTheStatistics) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> finite = base_series();
+  finite[25] = 500.0;
+  // The same series with NaN and ±inf inserted at three places.
+  std::vector<double> xs = finite;
+  xs.insert(xs.begin() + 40, -kInf);
+  xs.insert(xs.begin() + 20, kInf);
+  xs.insert(xs.begin() + 3, std::numeric_limits<double>::quiet_NaN());
+  OutlierConfig config;
+  config.method = GetParam();
+  const auto mask = detect_outliers(xs, config);
+  const auto finite_mask = detect_outliers(finite, config);
+  ASSERT_EQ(mask.size(), xs.size());
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (std::isfinite(xs[i])) {
+      EXPECT_EQ(mask[i], finite_mask[k++]) << "index " << i;
+    } else {
+      EXPECT_EQ(mask[i], 1) << "index " << i;
+    }
+  }
+  EXPECT_EQ(k, finite.size());
+}
+
+TEST_P(OutlierMethodTest, NonFiniteFlaggedInShortSeries) {
+  const std::vector<double> xs{std::numeric_limits<double>::quiet_NaN(), 1.0,
+                               1000.0,
+                               -std::numeric_limits<double>::infinity()};
+  OutlierConfig config;
+  config.method = GetParam();
+  EXPECT_EQ(detect_outliers(xs, config),
+            (std::vector<std::uint8_t>{1, 0, 0, 1}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, OutlierMethodTest,

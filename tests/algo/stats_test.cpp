@@ -57,10 +57,24 @@ TEST(StatsTest, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.3), 3.0);
 }
 
-TEST(StatsTest, MedianAbsoluteDeviation) {
+TEST(StatsTest, SortedMedianOddEven) {
+  const std::vector<double> odd{1.0, 3.0, 5.0};
+  EXPECT_DOUBLE_EQ(sorted_median(odd), 3.0);
+  const std::vector<double> even{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(sorted_median(even), 2.5);
+  EXPECT_THROW(sorted_median({}), std::invalid_argument);
+}
+
+TEST(StatsTest, SortedMedianAbsoluteDeviation) {
   const std::vector<double> xs{1.0, 1.0, 2.0, 2.0, 4.0, 6.0, 9.0};
   // median = 2; |x - 2| = {1,1,0,0,2,4,7}; median of that = 1.
-  EXPECT_DOUBLE_EQ(median_absolute_deviation(xs), 1.0);
+  EXPECT_DOUBLE_EQ(sorted_median_absolute_deviation(xs, 2.0), 1.0);
+  // Even size: |x - 2.5| = {1.5,0.5,0.5,1.5} averages the middle pair.
+  const std::vector<double> even{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(sorted_median_absolute_deviation(even, 2.5), 1.0);
+  // Every value on one side of the center.
+  const std::vector<double> above{3.0, 4.0, 10.0};
+  EXPECT_DOUBLE_EQ(sorted_median_absolute_deviation(above, 0.0), 4.0);
 }
 
 TEST(StatsTest, FitLineExact) {

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/schemas.hpp"
 #include "test_fixtures.hpp"
@@ -133,6 +137,46 @@ TEST(BranchAlphaTest, ValidityMarkersRoutedSeparately) {
             kinds.end());
 }
 
+// Rows of one element kind, as (value text, v_num).
+std::vector<std::pair<std::string, double>> rows_of_kind(
+    const dataflow::Table& out, const char* kind) {
+  std::vector<std::pair<std::string, double>> rows;
+  const std::size_t value_col = out.schema().require("value");
+  const std::size_t num_col = out.schema().require("v_num");
+  const std::size_t kind_col = out.schema().require("element_kind");
+  out.for_each_row([&](const dataflow::RowView& row) {
+    if (row.string_at(kind_col) == kind) {
+      rows.emplace_back(row.string_at(value_col), row.float64_at(num_col));
+    }
+  });
+  return rows;
+}
+
+TEST(BranchAlphaTest, NonFiniteValuesAreOutliersAndLeaveTheRestFinite) {
+  SequenceData d = ramp_with_outlier();
+  d.v_num[10] = std::numeric_limits<double>::quiet_NaN();
+  d.v_num[45] = std::numeric_limits<double>::infinity();
+  BranchStats stats;
+  const auto out = process_alpha({d, nullptr}, BranchConfig{}, &stats);
+  EXPECT_EQ(stats.outliers, 3u);  // v=800, NaN and +inf
+  std::vector<std::string> outliers;
+  for (const auto& [value, v] : rows_of_kind(out, kElementOutlier)) {
+    outliers.push_back(value);
+  }
+  EXPECT_EQ(outliers, (std::vector<std::string>{
+                          "outlier v=nan", "outlier v=800", "outlier v=inf"}));
+  // The clean runs saw no non-finite value: the normalization statistics
+  // and the SWAB budget stay finite, so the ramp still segments into a few
+  // increasing states.
+  const auto states = rows_of_kind(out, kElementState);
+  ASSERT_FALSE(states.empty());
+  EXPECT_LT(states.size(), 12u);
+  for (const auto& [value, v] : states) {
+    EXPECT_TRUE(std::isfinite(v)) << value;
+    EXPECT_NE(value.find("increasing"), std::string::npos) << value;
+  }
+}
+
 TEST(BranchAlphaTest, SaxLevelNames) {
   EXPECT_EQ(sax_level_name(0, 5), "verylow");
   EXPECT_EQ(sax_level_name(2, 5), "mid");
@@ -215,6 +259,40 @@ TEST(BranchBetaTest, NumericOrdinalOutlierDetected) {
   BranchStats stats;
   process_beta({d, nullptr}, BranchConfig{}, &stats);
   EXPECT_GE(stats.outliers, 1u);
+}
+
+TEST(BranchBetaTest, NonFiniteValuesAreOutliers) {
+  SequenceData d;
+  d.s_id = "level";
+  d.bus = "FC";
+  for (int i = 0; i < 40; ++i) {
+    d.t.push_back(i * 1000 * kMs);
+    d.v_num.push_back(static_cast<double>(i % 3));
+    d.has_num.push_back(1);
+    d.v_str.emplace_back();
+    d.has_str.push_back(0);
+  }
+  d.v_num[10] = std::numeric_limits<double>::quiet_NaN();
+  d.v_num[25] = std::numeric_limits<double>::infinity();
+  BranchStats stats;
+  const auto out = process_beta({d, nullptr}, BranchConfig{}, &stats);
+  EXPECT_EQ(out.num_rows(), d.size());
+  std::vector<std::string> outliers;
+  for (const auto& [value, v] : rows_of_kind(out, kElementOutlier)) {
+    outliers.push_back(value);
+  }
+  EXPECT_EQ(outliers,
+            (std::vector<std::string>{"outlier v=nan", "outlier v=inf"}));
+  EXPECT_EQ(stats.outliers, 2u);
+  // Every other element is a finite state with a trend from its finite
+  // neighbours.
+  const auto states = rows_of_kind(out, kElementState);
+  EXPECT_EQ(states.size(), d.size() - 2);
+  for (const auto& [value, v] : states) {
+    EXPECT_TRUE(std::isfinite(v)) << value;
+    EXPECT_EQ(value.find("nan"), std::string::npos) << value;
+    EXPECT_EQ(value.find("inf"), std::string::npos) << value;
+  }
 }
 
 TEST(BranchGammaTest, PassthroughNoTransformation) {
