@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace ivt::algo {
@@ -97,35 +98,45 @@ bool every_subrange_within(std::span<const double> ts,
 // The refill: one greedy sliding-window segment from the tail. Its first
 // `first` points are taken unconditionally; it then grows one point at a
 // time up to `cap` points and stops before the first prefix [0, k) whose
-// error exceeds max_error. Returns its length.
+// error exceeds max_error.
 //
 // Found by binary search for that first failing k. A probe that fails
 // (error > max_error) is the same fit_segment call the one-point loop
 // makes, so the loop stops at or before it; a probe that passes with a
 // margin (every_subrange_within) passes every shorter prefix as well. A
 // probe in between is walked one point at a time, as the loop does.
-std::size_t refill_length(std::span<const double> ts,
-                          std::span<const double> xs, std::size_t first,
-                          std::size_t cap, double max_error) {
-  // Invariant: prefixes up to `good` points pass; `bad` fails, or is cap+1.
-  std::size_t good = first;
+struct Refill {
+  std::size_t length = 0;
+  /// fit_segment over [0, length) when the search ended on a probe that
+  /// passed with a margin: bottom_up_segment over exactly these points
+  /// makes the same fit and the same check, and returns this segment.
+  std::optional<Segment> whole;
+};
+
+Refill refill(std::span<const double> ts, std::span<const double> xs,
+              std::size_t first, std::size_t cap, double max_error) {
+  // Invariant: prefixes up to out.length points pass; `bad` fails, or is
+  // cap+1.
+  Refill out{first, std::nullopt};
   std::size_t bad = cap + 1;
-  while (bad - good > 1) {
-    const std::size_t mid = good + (bad - good) / 2;
-    const double cost = fit_segment(ts, xs, 0, mid).error;
-    if (cost > max_error) {
+  while (bad - out.length > 1) {
+    const std::size_t mid = out.length + (bad - out.length) / 2;
+    Segment probe = fit_segment(ts, xs, 0, mid);
+    if (probe.error > max_error) {
       bad = mid;
-    } else if (every_subrange_within(ts.first(mid), xs.first(mid), cost,
-                                     max_error)) {
-      good = mid;
+    } else if (every_subrange_within(ts.first(mid), xs.first(mid),
+                                     probe.error, max_error)) {
+      out = Refill{mid, probe};
     } else {
-      for (std::size_t k = good + 1; k < bad; ++k) {
-        if (fit_segment(ts, xs, 0, k).error > max_error) return k - 1;
+      for (std::size_t k = out.length + 1; k < bad; ++k) {
+        if (fit_segment(ts, xs, 0, k).error > max_error) {
+          return Refill{k - 1, std::nullopt};
+        }
       }
-      return bad - 1;
+      return Refill{bad - 1, std::nullopt};
     }
   }
-  return good;
+  return out;
 }
 
 }  // namespace
@@ -225,11 +236,15 @@ std::vector<Segment> swab_segment(std::span<const double> ts,
   // Buffer is the window [lo, hi) of the input.
   std::size_t lo = 0;
   std::size_t hi = std::min(buffer_size, n);
+  // Bottom-up of the buffer, when the refill that made it has fit it.
+  std::optional<Segment> settled;
   while (lo < n) {
     const auto tbuf = ts.subspan(lo, hi - lo);
     const auto xbuf = xs.subspan(lo, hi - lo);
     std::vector<Segment> local =
-        bottom_up_segment(tbuf, xbuf, config.max_error);
+        settled ? std::vector<Segment>{*settled}
+                : bottom_up_segment(tbuf, xbuf, config.max_error);
+    settled.reset();
     // Emit the leftmost segment (it is final: bottom-up will not change it
     // once more data arrives, per the SWAB argument), unless the buffer
     // already covers the rest of the series — then everything is final.
@@ -256,8 +271,12 @@ std::vector<Segment> swab_segment(std::span<const double> ts,
           hi + first < lo + buffer_size
               ? std::min(n - hi, lo + buffer_size - hi)
               : first;
-      hi = std::min(n, hi + refill_length(ts.subspan(hi), xs.subspan(hi),
-                                          first, cap, config.max_error));
+      const Refill grown = refill(ts.subspan(hi), xs.subspan(hi), first,
+                                  cap, config.max_error);
+      // The leftmost segment used up the buffer, so the refill is all of
+      // the next one.
+      if (lo == hi) settled = grown.whole;
+      hi = std::min(n, hi + grown.length);
     }
     if (hi <= lo) hi = std::min(n, lo + buffer_size);
   }

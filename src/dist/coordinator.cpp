@@ -1,15 +1,6 @@
 #include "dist/coordinator.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "core/schemas.hpp"
@@ -25,10 +16,13 @@ namespace json = serve::json;
 
 namespace {
 
-constexpr int kListenBacklog = 64;
-
-serve::Frame error_response(const errors::Error& e) {
-  return serve::Frame{render_wire_error(e), {}};
+serve::Frame error_response(errors::Category category,
+                            const std::string& message) {
+  return serve::Frame{json::Object{}
+                          .add("ok", false)
+                          .raw("error", serve::render_error(category, message))
+                          .str(),
+                      {}};
 }
 
 }  // namespace
@@ -52,7 +46,10 @@ Coordinator::Coordinator(const signaldb::Catalog& catalog,
                       4 * std::max<std::size_t>(config_.expected_workers, 1),
                       8);
         return RangeTracker(plan_ranges(processor_.num_morsels(), target));
-      }()) {
+      }()),
+      frames_(config_.host, config_.port,
+              obs::Registry::instance().counter("dist.connections_total"),
+              [this](const serve::Frame& request) { return handle(request); }) {
   job_.trace_path = config_.trace_path;
   job_.catalog_path = config_.catalog_path;
   job_.signals = pipeline_.config().signals;
@@ -67,11 +64,7 @@ Coordinator::Coordinator(const signaldb::Catalog& catalog,
   }
 }
 
-Coordinator::~Coordinator() {
-  stop();
-  if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
-  if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
-}
+Coordinator::~Coordinator() { stop(); }
 
 std::uint64_t Coordinator::num_ranges() {
   // tracker_.num_ranges() is immutable after construction, but take the
@@ -81,161 +74,39 @@ std::uint64_t Coordinator::num_ranges() {
 }
 
 void Coordinator::start() {
-  if (::pipe2(stop_pipe_, O_CLOEXEC) != 0) {
-    IVT_THROW(errors::Category::Io,
-              std::string("dist: pipe2 failed: ") + std::strerror(errno));
-  }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    IVT_THROW(errors::Category::Io,
-              std::string("dist: socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    IVT_THROW(errors::Category::Io,
-              "dist: bad listen address '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    IVT_THROW(errors::Category::Io,
-              "dist: cannot bind " + config_.host + ":" +
-                  std::to_string(config_.port) + ": " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, kListenBacklog) != 0) {
-    IVT_THROW(errors::Category::Io,
-              "dist: listen failed on " + config_.host + ":" +
-                  std::to_string(config_.port) + ": " + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = config_.port;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  frames_.start();
   monitor_thread_ = std::thread([this] { monitor_loop(); });
 }
 
 void Coordinator::request_stop() noexcept {
   stopping_.store(true, std::memory_order_release);
-  done_cv_.notify_all();
-  // Not under mutex_ (signal context), so a wait about to start can miss
-  // these; every wait is timed, and stop() wakes them again race-free.
-  work_cv_.notify_all();
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t ignored =
-        ::write(stop_pipe_[1], &byte, 1);
-  }
 }
 
 void Coordinator::stop() {
   if (stopped_.exchange(true)) return;
   request_stop();
   {
-    // Every wait that checked stopping_ before the store above is
-    // parked by the time this lock is ours, so these wakes cannot be
-    // missed the way request_stop()'s can.
+    // Under mutex_: a wait that saw stopping_ unset is parked by the time
+    // the lock is ours, so it gets this wake.
     const support::MutexLock lock(mutex_);
+    done_cv_.notify_all();
+    work_cv_.notify_all();
   }
-  done_cv_.notify_all();
-  work_cv_.notify_all();
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (monitor_thread_.joinable()) monitor_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> to_join;
-  {
-    const support::MutexLock lock(conn_mutex_);
-    for (Connection& conn : connections_) {
-      if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RD);
-      if (conn.thread.joinable()) to_join.push_back(std::move(conn.thread));
-    }
-  }
-  for (std::thread& t : to_join) t.join();
-  {
-    const support::MutexLock lock(conn_mutex_);
-    for (Connection& conn : connections_) {
-      if (conn.fd >= 0) {
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
-    }
-    connections_.clear();
-  }
-}
-
-void Coordinator::accept_loop() {
-  // Everything the coordinator records — accept spans, handler spans,
-  // monitor sweeps — is node 0 of the job's merged timeline.
-  obs::set_current_node(0);
-  const obs::TraceContextScope trace_scope(
-      obs::TraceContext{trace_id_, /*span_id=*/1});
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      std::fprintf(stderr, "ivt-coordinator: accept failed: %s\n",
-                   std::strerror(errno));
-      break;
-    }
-    OBS_COUNT("dist.connections_total", 1);
-    serve::set_no_delay(fd);
-    const support::MutexLock lock(conn_mutex_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    const std::size_t index = connections_.size();
-    connections_.push_back(Connection{fd, {}});
-    connections_[index].thread = std::thread([this, fd, index] {
-      serve_connection(fd);
-      // Hand the fd back under the lock so stop() never shutdowns a
-      // recycled descriptor (same pattern as serve::Server).
-      const support::MutexLock conn_lock(conn_mutex_);
-      connections_[index].fd = -1;
-      ::close(fd);
-    });
-  }
-}
-
-void Coordinator::serve_connection(int fd) {
-  obs::set_current_node(0);
-  const obs::TraceContextScope trace_scope(
-      obs::TraceContext{trace_id_, /*span_id=*/1});
-  serve::Frame request;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    try {
-      if (!read_frame(fd, request)) break;  // clean EOF: worker left
-    } catch (const errors::Error&) {
-      break;  // transport failure mid-frame; the worker will reconnect
-    }
-    const serve::Frame response = handle(request);
-    try {
-      write_frame(fd, response);
-    } catch (const errors::Error&) {
-      break;  // worker gone; it re-sends on a fresh connection
-    }
-  }
+  // The parked dist.next polls are answering now; joining their
+  // connections waits for those answers, not for the park to run out.
+  frames_.stop();
 }
 
 serve::Frame Coordinator::handle(const serve::Frame& request) {
-  std::string op;
+  // Everything the coordinator records — handler spans, monitor sweeps —
+  // is node 0 of the job's merged timeline.
+  obs::set_current_node(0);
+  const obs::TraceContextScope trace_scope(
+      obs::TraceContext{trace_id_, /*span_id=*/1});
   try {
     const json::Value body = json::parse(request.json);
-    op = body.get_string("op", "");
+    const std::string op = body.get_string("op", "");
     if (op == kOpRegister) return handle_register(body);
     if (op == kOpHeartbeat) return handle_heartbeat(body);
     if (op == kOpNext) return handle_next(body);
@@ -243,10 +114,10 @@ serve::Frame Coordinator::handle(const serve::Frame& request) {
     IVT_THROW(errors::Category::Decode, "dist: unknown op '" + op + "'");
   } catch (const errors::Error& e) {
     OBS_COUNT("dist.requests_failed", 1);
-    return error_response(e);
+    return error_response(e.category(), e.describe());
   } catch (const std::exception& e) {
     OBS_COUNT("dist.requests_failed", 1);
-    return error_response(errors::Error(errors::Category::Internal, e.what()));
+    return error_response(errors::Category::Internal, e.what());
   }
 }
 
@@ -595,8 +466,8 @@ core::PipelineResult Coordinator::wait_result(dataflow::Engine& engine,
   core::DistStats dist_stats;
   {
     support::MutexLock lock(mutex_);
-    // Timed: request_stop() notifies without mutex_, so a wake-up can
-    // slip in between the check and the wait.
+    // Timed: request_stop() only sets the flag (it runs in signal
+    // handlers), so the flag is polled once a heartbeat.
     while (!tracker_.all_done() &&
            !stopping_.load(std::memory_order_acquire)) {
       done_cv_.wait_for(lock, std::chrono::milliseconds(config_.heartbeat_ms));

@@ -1,9 +1,12 @@
 // The dist coordinator: owns range assignment, membership and the merge.
 //
-// Lifecycle and threading are modeled on serve::Server (one accept
-// thread, one reader thread per worker connection, self-pipe stop), but
-// the request handlers are coordinator-local state transitions — all
-// serialized under one mutex — rather than pool-dispatched queries:
+// It runs on serve::FrameServer (serve/wire.hpp), the IVQ1 server layer
+// `ivt serve` uses too: one accept thread and one reader thread per
+// worker connection. Its request handlers are coordinator-local state
+// transitions — all serialized under one mutex — rather than
+// pool-dispatched queries, and a failed request answers with serve's
+// error body ({"ok": false, "error": {"category", "retryable",
+// "message"}}):
 //
 //   accept thread ──► one reader thread per worker connection
 //                        └─ register / heartbeat / next / result
@@ -28,10 +31,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <string>
 #include <thread>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -93,7 +95,7 @@ class Coordinator {
   /// errors::Error(Io) on bind failure (CLI exit code 5).
   void start();
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return frames_.port(); }
   [[nodiscard]] const std::string& host() const { return config_.host; }
   [[nodiscard]] std::uint64_t trace_id() const { return trace_id_; }
   [[nodiscard]] std::uint64_t num_ranges();
@@ -112,7 +114,8 @@ class Coordinator {
   /// registration dropped on its way in).
   [[nodiscard]] core::DistStats dist_stats();
 
-  /// Async-signal-safe: wake wait_result()/wait loops for teardown.
+  /// Async-signal-safe: only sets the stop flag. Every wait checks it at
+  /// least once a heartbeat, so wait_result() returns within one.
   void request_stop() noexcept;
 
   /// Full teardown; idempotent. Safe to call with workers still
@@ -131,8 +134,6 @@ class Coordinator {
     bool alive = true;
   };
 
-  void accept_loop();
-  void serve_connection(int fd);
   void monitor_loop();
 
   serve::Frame handle(const serve::Frame& request);
@@ -160,12 +161,8 @@ class Coordinator {
   JobSpec job_;
   std::uint64_t trace_id_ = 0;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int stop_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
-  std::thread accept_thread_;
   std::thread monitor_thread_;
 
   support::Mutex mutex_{support::LockRank::k_dist_Coordinator_mutex_};
@@ -194,12 +191,8 @@ class Coordinator {
       range_failures_ IVT_GUARDED_BY(mutex_);
   core::DistStats stats_ IVT_GUARDED_BY(mutex_);
 
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-  std::vector<Connection> connections_ IVT_GUARDED_BY(conn_mutex_);
-  support::Mutex conn_mutex_{support::LockRank::k_dist_Coordinator_conn_mutex_};
+  /// Last: its connection threads use every member above.
+  serve::FrameServer frames_;
 };
 
 }  // namespace ivt::dist

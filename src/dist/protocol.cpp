@@ -101,20 +101,4 @@ std::vector<errors::FailureRecord> failures_from_wire(
   return out;
 }
 
-void throw_wire_error(const json::Value& response) {
-  const std::string message =
-      response.get_string("error", "dist: peer reported an error");
-  const std::string cat = response.get_string("category", "internal");
-  const auto parsed = errors::parse_category(cat);
-  throw errors::Error(parsed.value_or(errors::Category::Internal), message);
-}
-
-std::string render_wire_error(const errors::Error& e) {
-  return json::Object{}
-      .add("ok", false)
-      .add("error", e.message())
-      .add("category", std::string(errors::to_string(e.category())))
-      .str();
-}
-
 }  // namespace ivt::dist

@@ -29,9 +29,10 @@
 // heartbeats) — its reaction is to re-register under the same name and
 // receive a fresh generation; any result it sends under the old
 // generation is deduplicated by (range_id, epoch) and discarded, so a
-// zombie can never corrupt the merge. Errors travel back as
-// {"ok": false, "error", "category"} and are rethrown client-side as
-// typed errors::Error, exactly like ivt-serve responses.
+// zombie can never corrupt the merge. Errors travel back in ivt-serve's
+// error body, {"ok": false, "error": {"category", "retryable",
+// "message"}} (serve::render_error), and the worker rethrows them as
+// typed errors::Error.
 #pragma once
 
 #include <cstdint>
@@ -107,11 +108,5 @@ struct RangeCounters {
     const std::vector<errors::FailureRecord>& records);
 [[nodiscard]] std::vector<errors::FailureRecord> failures_from_wire(
     const serve::json::Value& v, const std::string& key);
-
-/// Throw the typed error encoded in an {"ok": false} response.
-[[noreturn]] void throw_wire_error(const serve::json::Value& response);
-
-/// Render an error response ({"ok": false, "error", "category"}).
-[[nodiscard]] std::string render_wire_error(const errors::Error& e);
 
 }  // namespace ivt::dist

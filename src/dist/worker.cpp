@@ -47,6 +47,13 @@ void sleep_ms(std::int64_t ms) {
   if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+/// The typed error a failed coordinator reply carries.
+errors::Error reply_error(const serve::ClientResponse& response) {
+  return errors::Error(errors::parse_category(response.error_category())
+                           .value_or(errors::Category::Internal),
+                       response.error_message());
+}
+
 /// What registration hands the rest of the worker.
 struct Registration {
   std::uint64_t worker_id = 0;
@@ -63,7 +70,7 @@ Registration register_once(const WorkerOptions& options) {
   const std::string body =
       json::Object{}.add("op", kOpRegister).add("worker", options.name).str();
   const serve::ClientResponse response = client.request(body);
-  if (!response.ok()) throw_wire_error(response.body);
+  if (!response.ok()) throw reply_error(response);
   Registration reg;
   reg.worker_id =
       static_cast<std::uint64_t>(response.body.get_int("worker_id", 0));
@@ -409,13 +416,14 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
   auto heartbeat = std::make_unique<HeartbeatThread>(options, reg);
   std::unique_ptr<serve::Client> client;
 
-  const auto rpc = [&](const std::string& body) -> serve::ClientResponse {
+  // Every RPC on the task connection: a JSON body, or a whole frame.
+  const auto rpc = [&](const auto& request) -> serve::ClientResponse {
     sleep_ms(options.sim.latency_ms);
     if (client == nullptr) {
       client = std::make_unique<serve::Client>(options.host, options.port,
                                                options.timeout_ms);
     }
-    return client->request(body);
+    return client->request(request);
   };
 
   // Consecutive transient dist.next failures are bounded by the same
@@ -445,7 +453,7 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
               .add("worker_id", reg.worker_id)
               .add("generation", reg.generation)
               .str());
-      if (!response.ok()) throw_wire_error(response.body);
+      if (!response.ok()) throw reply_error(response);
       next_body = response.body;
       unreachable_since.reset();
     } catch (const errors::Error& e) {
@@ -533,21 +541,13 @@ WorkerOutcome run_worker(const WorkerOptions& options) {
         sleep_ms(reg.heartbeat_ms);
       }
       try {
-        sleep_ms(options.sim.latency_ms);
-        if (client == nullptr) {
-          client = std::make_unique<serve::Client>(
-              options.host, options.port, options.timeout_ms);
-        }
-        const serve::Frame raw = client->request_raw(frame);
-        const json::Value response = json::parse(raw.json);
-        if (!response.get_bool("ok", false)) {
-          throw_wire_error(response);
-        }
+        const serve::ClientResponse response = rpc(frame);
+        if (!response.ok()) throw reply_error(response);
         // "accepted": false is NOT an error: the range was already done
         // (we lost a speculative race, or this is a retry the first copy
         // of which landed). Either way the result is delivered.
         sent = true;
-        job_done = response.get_bool("done", false);
+        job_done = response.body.get_bool("done", false);
         break;
       } catch (const errors::Error& e) {
         client.reset();

@@ -138,12 +138,16 @@ Frame Client::request_raw(const Frame& frame) {
   return response;
 }
 
-ClientResponse Client::request(const std::string& request_json) {
-  Frame response = request_raw(Frame{request_json, {}});
+ClientResponse Client::request(const Frame& frame) {
+  Frame response = request_raw(frame);
   ClientResponse out;
   out.body = json::parse(response.json);
   out.payload = std::move(response.payload);
   return out;
+}
+
+ClientResponse Client::request(const std::string& request_json) {
+  return request(Frame{request_json, {}});
 }
 
 void add_trace_context(json::Object& request, const obs::TraceContext& ctx) {

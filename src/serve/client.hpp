@@ -50,6 +50,9 @@ class Client {
   /// Send one raw frame, wait for the response frame.
   Frame request_raw(const Frame& frame);
 
+  /// Send a request frame, parse the response.
+  ClientResponse request(const Frame& frame);
+
   /// Send a JSON request body, parse the response.
   ClientResponse request(const std::string& request_json);
 

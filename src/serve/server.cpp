@@ -1,16 +1,13 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <future>
+#include <thread>
 #include <utility>
 
 #include "errors/error.hpp"
@@ -22,37 +19,11 @@ namespace ivt::serve {
 
 namespace {
 
-constexpr int kListenBacklog = 64;
-
 std::size_t resolve_workers(std::size_t configured) {
   if (configured > 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 4;
 }
-
-}  // namespace
-
-/// The wire name and retryability the daemon reports for each category.
-/// This is a public protocol contract, pinned independently of
-/// errors::to_string / errors::is_transient so an internal rename can
-/// never silently change what clients see. The switch is an
-/// `error-table` anchor in tools/ivt-lint.conf: ivt-analyze fails when
-/// any thrown errors::Category is missing from it.
-WireError wire_category(errors::Category category) {
-  switch (category) {
-    case errors::Category::Io: return {"io", false};
-    case errors::Category::Format: return {"format", false};
-    case errors::Category::Decode: return {"decode", false};
-    case errors::Category::Spec: return {"spec", false};
-    case errors::Category::Resource: return {"resource", true};
-    case errors::Category::Overloaded: return {"overloaded", true};
-    case errors::Category::Timeout: return {"timeout", true};
-    case errors::Category::Internal: return {"internal", false};
-  }
-  return {"internal", false};
-}
-
-namespace {
 
 /// Typed error response body. Every failure a request can hit — bad
 /// JSON, unknown trace, injected faults, admission rejection — ends up
@@ -61,16 +32,11 @@ namespace {
 Frame error_frame(std::uint64_t request_id, const std::string& op,
                   errors::Category category, const std::string& message,
                   std::uint64_t trace_id = 0) {
-  const WireError wire = wire_category(category);
-  json::Object error;
-  error.add("category", std::string(wire.category))
-      .add("retryable", wire.retryable)
-      .add("message", message);
   json::Object body;
   body.add("ok", false).add("request_id", request_id);
   if (!op.empty()) body.add("op", op);
   if (trace_id != 0) body.add("trace_id", obs::trace_id_hex(trace_id));
-  body.raw("error", error.str());
+  body.raw("error", render_error(category, message));
   return Frame{body.str(), {}};
 }
 
@@ -100,7 +66,11 @@ Server::Server(std::unique_ptr<TraceCatalog> catalog, ServerConfig config)
       engine_(*catalog_, config_.query),
       pool_(resolve_workers(config_.workers)),
       max_in_flight_(config_.max_in_flight > 0 ? config_.max_in_flight
-                                               : 2 * pool_.num_threads()) {}
+                                               : 2 * pool_.num_threads()),
+      frames_(config_.host, config_.port,
+              obs::Registry::instance().counter("serve.connections_total"),
+              [this](const Frame& request) { return serve_frame(request); }) {
+}
 
 Server::~Server() {
   stop();
@@ -113,40 +83,7 @@ void Server::start() {
     IVT_THROW(errors::Category::Io,
               std::string("serve: pipe2 failed: ") + std::strerror(errno));
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    IVT_THROW(errors::Category::Io,
-              std::string("serve: socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    IVT_THROW(errors::Category::Io,
-              "serve: bad listen address '" + config_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    IVT_THROW(errors::Category::Io,
-              "serve: cannot bind " + config_.host + ":" +
-                  std::to_string(config_.port) + ": " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, kListenBacklog) != 0) {
-    IVT_THROW(errors::Category::Io,
-              "serve: listen failed on " + config_.host + ":" +
-                  std::to_string(config_.port) + ": " + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  } else {
-    port_ = config_.port;
-  }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  frames_.start();
 }
 
 void Server::wait() {
@@ -160,7 +97,6 @@ void Server::wait() {
 }
 
 void Server::request_stop() noexcept {
-  stopping_.store(true, std::memory_order_release);
   if (stop_pipe_[1] >= 0) {
     const char byte = 1;
     // write(2) is async-signal-safe; the result is irrelevant (a full
@@ -171,161 +107,70 @@ void Server::request_stop() noexcept {
 }
 
 void Server::stop() {
-  if (stopped_.exchange(true)) return;
   request_stop();
-  if (listen_fd_ >= 0) {
-    // shutdown() unblocks the accept loop even on platforms where a
-    // plain close() leaves it sleeping.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  std::vector<std::thread> to_join;
-  {
-    const support::MutexLock lock(mutex_);
-    for (Connection& conn : connections_) {
-      // Unblock the reader; in-flight requests finish and write their
-      // responses before the reader notices the shutdown and exits.
-      if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RD);
-      if (conn.thread.joinable()) to_join.push_back(std::move(conn.thread));
-    }
-  }
-  for (std::thread& t : to_join) t.join();
-  {
-    const support::MutexLock lock(mutex_);
-    for (Connection& conn : connections_) {
-      if (conn.fd >= 0) {
-        ::close(conn.fd);
-        conn.fd = -1;
-      }
-    }
-    connections_.clear();
-  }
+  frames_.stop();
   // Every connection is drained, so all access records are enqueued; put
   // them on disk before the caller inspects/uploads the log.
   if (event_log_ != nullptr) event_log_->flush();
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      std::fprintf(stderr, "ivt-serve: accept failed: %s\n",
-                   std::strerror(errno));
-      break;
-    }
-    try {
-      // Models a failure while setting up the accepted connection (fd
-      // limit races, early peer reset). The daemon must shrug it off:
-      // drop this connection, keep accepting.
-      FAULT_POINT("serve.accept");
-    } catch (const errors::Error& e) {
-      OBS_COUNT("serve.accept_faults", 1);
-      std::fprintf(stderr, "ivt-serve: connection setup failed: %s\n",
-                   e.describe().c_str());
-      ::close(fd);
-      continue;
-    }
-    OBS_COUNT("serve.connections_total", 1);
-    set_no_delay(fd);
-    const support::MutexLock lock(mutex_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    const std::size_t index = connections_.size();
-    connections_.push_back(Connection{fd, {}});
-    connections_[index].thread = std::thread([this, fd, index] {
-      serve_connection(fd);
-      // Hand the fd back under the lock so stop() never shutdowns a
-      // recycled descriptor; entries themselves live until stop().
-      const support::MutexLock conn_lock(mutex_);
-      connections_[index].fd = -1;
-      ::close(fd);
-    });
-  }
-}
+Frame Server::serve_frame(const Frame& request) {
+  const std::uint64_t request_id =
+      next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const auto start = std::chrono::steady_clock::now();
+  AccessInfo access;
+  Frame response = handle_request(request, request_id, access);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  engine_.accounting().record_request(elapsed_ms);
 
-void Server::serve_connection(int fd) {
-  Frame request;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    try {
-      if (!read_frame(fd, request)) break;  // clean EOF
-    } catch (const errors::Error&) {
-      // Transport-level failure (peer vanished mid-frame, bad magic):
-      // there is no request to answer, drop the connection.
-      break;
+  if (event_log_ != nullptr) {
+    // The per-query access record: how the request was served. One line
+    // per request, success or failure.
+    obs::EventRecord record(event_log_.get(), obs::EventLevel::Info,
+                            "serve.query");
+    record.kv("request_id", request_id).kv("op", access.op);
+    if (access.trace_id != 0) {
+      record.kv("trace_id", obs::trace_id_hex(access.trace_id));
     }
-    const std::uint64_t request_id =
-        next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const auto start = std::chrono::steady_clock::now();
-    AccessInfo access;
-    const Frame response = handle_request(request, request_id, access);
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    engine_.accounting().record_request(elapsed_ms);
-
-    if (event_log_ != nullptr) {
-      // The per-query access record: how the request was served. One
-      // line per request, success or failure.
-      obs::EventRecord record(event_log_.get(), obs::EventLevel::Info,
-                              "serve.query");
-      record.kv("request_id", request_id).kv("op", access.op);
-      if (access.trace_id != 0) {
-        record.kv("trace_id", obs::trace_id_hex(access.trace_id));
+    record.kv("ok", access.ok);
+    if (!access.ok) record.kv("error_category", access.error_category);
+    record.kv("elapsed_ms", elapsed_ms)
+        .kv("bytes_in", static_cast<std::uint64_t>(request.json.size() +
+                                                   request.payload.size()))
+        .kv("bytes_out", static_cast<std::uint64_t>(response.json.size() +
+                                                    response.payload.size()));
+    if (access.ok) {
+      record.kv("rows", access.stats.rows)
+          .kv("chunks_total",
+              static_cast<std::uint64_t>(access.stats.chunks_total))
+          .kv("chunks_scanned",
+              static_cast<std::uint64_t>(access.stats.chunks_scanned))
+          .kv("chunks_decoded",
+              static_cast<std::uint64_t>(access.stats.chunks_decoded))
+          .kv("chunk_cache_hits",
+              static_cast<std::uint64_t>(access.stats.chunk_cache_hits))
+          .kv("chunk_cache_misses",
+              static_cast<std::uint64_t>(access.stats.chunk_cache_misses))
+          .kv("state_cache_hit", access.stats.state_cache_hit);
+      for (const auto& [stage, wall_ms] : access.stats.stages) {
+        record.kv("t_" + stage + "_ms", wall_ms);
       }
-      record.kv("ok", access.ok);
-      if (!access.ok) record.kv("error_category", access.error_category);
-      record.kv("elapsed_ms", elapsed_ms)
-          .kv("bytes_in", static_cast<std::uint64_t>(
-                              request.json.size() + request.payload.size()))
-          .kv("bytes_out",
-              static_cast<std::uint64_t>(response.json.size() +
-                                         response.payload.size()));
-      if (access.ok) {
-        record
-            .kv("rows", access.stats.rows)
-            .kv("chunks_total",
-                static_cast<std::uint64_t>(access.stats.chunks_total))
-            .kv("chunks_scanned",
-                static_cast<std::uint64_t>(access.stats.chunks_scanned))
-            .kv("chunks_decoded",
-                static_cast<std::uint64_t>(access.stats.chunks_decoded))
-            .kv("chunk_cache_hits",
-                static_cast<std::uint64_t>(access.stats.chunk_cache_hits))
-            .kv("chunk_cache_misses",
-                static_cast<std::uint64_t>(access.stats.chunk_cache_misses))
-            .kv("state_cache_hit", access.stats.state_cache_hit);
-        for (const auto& [stage, wall_ms] : access.stats.stages) {
-          record.kv("t_" + stage + "_ms", wall_ms);
-        }
-      }
-    }
-    if (config_.slow_query_ms > 0.0 && elapsed_ms >= config_.slow_query_ms) {
-      OBS_COUNT("serve.slow_queries", 1);
-      obs::EventRecord slow(event_log_.get(), obs::EventLevel::Warn,
-                            "serve.slow_query");
-      slow.kv("request_id", request_id).kv("op", access.op);
-      if (access.trace_id != 0) {
-        slow.kv("trace_id", obs::trace_id_hex(access.trace_id));
-      }
-      slow.kv("elapsed_ms", elapsed_ms)
-          .kv("threshold_ms", config_.slow_query_ms);
-    }
-
-    try {
-      write_frame(fd, response);
-    } catch (const errors::Error&) {
-      break;  // peer gone; response undeliverable
     }
   }
+  if (config_.slow_query_ms > 0.0 && elapsed_ms >= config_.slow_query_ms) {
+    OBS_COUNT("serve.slow_queries", 1);
+    obs::EventRecord slow(event_log_.get(), obs::EventLevel::Warn,
+                          "serve.slow_query");
+    slow.kv("request_id", request_id).kv("op", access.op);
+    if (access.trace_id != 0) {
+      slow.kv("trace_id", obs::trace_id_hex(access.trace_id));
+    }
+    slow.kv("elapsed_ms", elapsed_ms)
+        .kv("threshold_ms", config_.slow_query_ms);
+  }
+  return response;
 }
 
 Frame Server::handle_request(const Frame& request, std::uint64_t request_id,

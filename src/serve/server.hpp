@@ -2,10 +2,9 @@
 //
 // Threading model (see DESIGN.md "Serving"):
 //
-//   accept thread ──► one reader thread per connection ──► worker pool
+//   FrameServer (serve/wire.hpp): accept thread ──► one reader thread
+//   per connection ──► worker pool
 //
-//   - The accept loop owns the listening socket and spawns one
-//     lightweight reader thread per accepted connection.
 //   - A reader thread only does framing I/O: it reads one frame, hands
 //     the request to the shared dataflow::ThreadPool, blocks on the
 //     result, writes the response frame. Requests on one connection are
@@ -26,17 +25,14 @@
 // Shutdown: request_stop() is async-signal-safe (it writes one byte to a
 // self-pipe), so the CLI's SIGTERM/SIGINT handler can call it directly;
 // wait() unblocks, and stop() closes the listener, wakes readers via
-// socket shutdown, joins every thread and drains the pool. In-flight
-// requests complete and their responses are written before the
-// connection closes.
+// socket shutdown and joins them. In-flight requests complete and their
+// responses are written before the connection closes.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "dataflow/thread_pool.hpp"
 #include "errors/error.hpp"
@@ -44,20 +40,8 @@
 #include "serve/query_engine.hpp"
 #include "serve/trace_catalog.hpp"
 #include "serve/wire.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace ivt::serve {
-
-/// What an error response puts on the wire for one errors::Category.
-struct WireError {
-  const char* category;  ///< "category" field of the error body
-  bool retryable;        ///< "retryable" field
-};
-
-/// Maps a category to its wire representation; exhaustive over
-/// errors::Category (an `error-table` anchor for ivt-analyze).
-WireError wire_category(errors::Category category);
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
@@ -93,7 +77,7 @@ class Server {
   void start();
 
   /// Actual listening port (after start(); resolves port 0).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return frames_.port(); }
   [[nodiscard]] const std::string& host() const { return config_.host; }
 
   /// Block until request_stop() is called (SIGTERM handler, shutdown op).
@@ -103,8 +87,8 @@ class Server {
   void request_stop() noexcept;
 
   /// Full teardown: close the listener, unblock and join every
-  /// connection thread (in-flight requests finish first), drain the
-  /// pool. Idempotent.
+  /// connection thread (in-flight requests finish first), flush the
+  /// event log. Idempotent.
   void stop();
 
   [[nodiscard]] QueryEngine& query_engine() { return engine_; }
@@ -113,11 +97,12 @@ class Server {
   [[nodiscard]] obs::EventLog* event_log() { return event_log_.get(); }
 
  private:
-  void accept_loop();
-  void serve_connection(int fd);
+  /// FrameServer's handler: one request in, its response out, with the
+  /// latency accounting and the access record.
+  Frame serve_frame(const Frame& request);
 
-  /// What serve_connection needs to know about a handled request beyond
-  /// the response frame: the access-record fields for the event log.
+  /// What serve_frame needs to know about a handled request beyond the
+  /// response frame: the access-record fields for the event log.
   struct AccessInfo {
     std::string op;
     std::uint64_t trace_id = 0;
@@ -139,20 +124,10 @@ class Server {
   dataflow::ThreadPool pool_;
   std::size_t max_in_flight_ = 0;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
   int stop_pipe_[2] = {-1, -1};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> next_request_id_{0};
-  std::thread accept_thread_;
-
-  support::Mutex mutex_{support::LockRank::k_serve_Server_mutex_};
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-  std::vector<Connection> connections_ IVT_GUARDED_BY(mutex_);
+  /// Last: its connection threads use every member above.
+  FrameServer frames_;
 };
 
 }  // namespace ivt::serve

@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -11,11 +12,17 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <utility>
+#include <vector>
 
-#include "errors/error.hpp"
+#include "faultfx/faultfx.hpp"
+#include "obs/obs.hpp"
+#include "serve/json.hpp"
 
 namespace ivt::serve {
 namespace {
+
+constexpr int kListenBacklog = 64;
 
 #ifdef MSG_NOSIGNAL
 constexpr int kSendFlags = MSG_NOSIGNAL;  // EPIPE instead of SIGPIPE
@@ -168,6 +175,178 @@ void set_no_delay(int fd) {
   const int one = 1;
   // Best-effort: without it frames are still correct, only slower.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// The wire name and retryability the daemons report for each category.
+/// This is a public protocol contract, pinned independently of
+/// errors::to_string / errors::is_transient so an internal rename can
+/// never silently change what clients see. The switch is an
+/// `error-table` anchor in tools/ivt-lint.conf: ivt-analyze fails when
+/// any thrown errors::Category is missing from it.
+WireError wire_category(errors::Category category) {
+  switch (category) {
+    case errors::Category::Io: return {"io", false};
+    case errors::Category::Format: return {"format", false};
+    case errors::Category::Decode: return {"decode", false};
+    case errors::Category::Spec: return {"spec", false};
+    case errors::Category::Resource: return {"resource", true};
+    case errors::Category::Overloaded: return {"overloaded", true};
+    case errors::Category::Timeout: return {"timeout", true};
+    case errors::Category::Internal: return {"internal", false};
+  }
+  return {"internal", false};
+}
+
+std::string render_error(errors::Category category,
+                         const std::string& message) {
+  const WireError wire = wire_category(category);
+  return json::Object{}
+      .add("category", std::string(wire.category))
+      .add("retryable", wire.retryable)
+      .add("message", message)
+      .str();
+}
+
+FrameServer::FrameServer(std::string host, std::uint16_t port,
+                         obs::Counter& connections, FrameHandler handler)
+    : host_(std::move(host)),
+      port_(port),
+      connections_total_(connections),
+      handler_(std::move(handler)) {}
+
+FrameServer::~FrameServer() { stop(); }
+
+void FrameServer::start() {
+  const std::string address = host_ + ":" + std::to_string(port_);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) {
+    IVT_THROW(errors::Category::Io,
+              std::string("socket failed: ") + std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port_);
+  if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
+    IVT_THROW(errors::Category::Io, "bad listen address '" + host_ + "'");
+  }
+  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0) {
+    IVT_THROW(errors::Category::Io,
+              "cannot bind " + address + ": " + std::strerror(errno));
+  }
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
+    IVT_THROW(errors::Category::Io,
+              "listen failed on " + address + ": " + std::strerror(errno));
+  }
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                    &bound_len) == 0) {
+    port_ = ntohs(bound.sin_port);
+  }
+  accept_thread_ = std::thread([this] { accept_loop(); });
+}
+
+void FrameServer::stop() {
+  if (stopping_.exchange(true)) return;
+  if (listen_fd_ >= 0) {
+    // shutdown() unblocks the accept loop even on platforms where a
+    // plain close() leaves it sleeping.
+    ::shutdown(listen_fd_, SHUT_RDWR);
+  }
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  std::vector<std::thread> live;
+  std::thread ended;
+  {
+    const support::MutexLock lock(mutex_);
+    for (auto& [id, conn] : connections_) {
+      // Unblock the reader; a request being handled finishes and writes
+      // its answer before the reader notices the shutdown and exits.
+      ::shutdown(conn.fd, SHUT_RD);
+      live.push_back(std::move(conn.thread));
+    }
+    ended = std::move(ended_);
+  }
+  for (std::thread& t : live) t.join();
+  if (ended.joinable()) ended.join();
+}
+
+void FrameServer::accept_loop() {
+  while (true) {
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (stopping_.load(std::memory_order_acquire)) return;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      std::fprintf(stderr, "ivt: accept on %s:%u failed: %s\n",
+                   host_.c_str(), static_cast<unsigned>(port_),
+                   std::strerror(errno));
+      return;
+    }
+    try {
+      // Models a failure while setting up the accepted connection (fd
+      // limit races, early peer reset). The daemon must shrug it off:
+      // drop this connection, keep accepting.
+      FAULT_POINT("serve.accept");
+    } catch (const errors::Error& e) {
+      OBS_COUNT("serve.accept_faults", 1);
+      std::fprintf(stderr, "ivt: connection setup failed: %s\n",
+                   e.describe().c_str());
+      ::close(fd);
+      continue;
+    }
+    connections_total_.add(1);
+    set_no_delay(fd);
+    const support::MutexLock lock(mutex_);
+    const std::uint64_t id = next_connection_id_++;
+    Connection& conn = connections_[id];
+    conn.fd = fd;
+    // The thread cannot reach its entry before this lock is released,
+    // so it always finds its handle in place.
+    conn.thread = std::thread([this, fd, id] {
+      serve_connection(fd);
+      end_connection(id);
+    });
+  }
+}
+
+void FrameServer::serve_connection(int fd) {
+  Frame request;
+  while (!stopping_.load(std::memory_order_acquire)) {
+    try {
+      if (!read_frame(fd, request)) return;  // clean EOF: the peer left
+      write_frame(fd, handler_(request));
+    } catch (const errors::Error&) {
+      // Transport failure (peer vanished mid-frame, bad magic, peer gone
+      // before its answer): there is no one to answer; drop the
+      // connection.
+      return;
+    }
+  }
+}
+
+void FrameServer::end_connection(std::uint64_t id) {
+  std::thread previous;
+  {
+    const support::MutexLock lock(mutex_);
+    const auto it = connections_.find(id);
+    // Closed under the lock, so stop() never shuts down a descriptor
+    // that has been closed and handed to someone else.
+    ::close(it->second.fd);
+    // A thread cannot join itself: leave this one for the next
+    // connection to end, and join the one left before it. A handle
+    // stop() has already taken is stop()'s to join.
+    if (it->second.thread.joinable()) {
+      previous = std::exchange(ended_, std::move(it->second.thread));
+    }
+    connections_.erase(it);
+  }
+  if (previous.joinable()) previous.join();
 }
 
 }  // namespace ivt::serve

@@ -88,7 +88,9 @@ TEST(SlidingWindowTest, CoversAndRespectsBudget) {
   const auto segments = sliding_window_segment(ts, xs, 2.0);
   expect_cover(segments, xs.size());
   for (const Segment& seg : segments) {
-    if (seg.length() > 2) EXPECT_LE(seg.error, 2.0 + 1e-9);
+    if (seg.length() > 2) {
+      EXPECT_LE(seg.error, 2.0 + 1e-9);
+    }
   }
 }
 

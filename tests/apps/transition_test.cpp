@@ -42,8 +42,12 @@ TEST(TransitionGraphTest, ProbabilitiesNormalizePerSource) {
   for (const auto& edge : graph.edges()) {
     if (edge.from == "a") {
       // a -> b twice, a -> c once.
-      if (edge.to == "b") EXPECT_NEAR(edge.probability, 2.0 / 3.0, 1e-9);
-      if (edge.to == "c") EXPECT_NEAR(edge.probability, 1.0 / 3.0, 1e-9);
+      if (edge.to == "b") {
+        EXPECT_NEAR(edge.probability, 2.0 / 3.0, 1e-9);
+      }
+      if (edge.to == "c") {
+        EXPECT_NEAR(edge.probability, 1.0 / 3.0, 1e-9);
+      }
     }
   }
 }

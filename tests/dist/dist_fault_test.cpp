@@ -11,6 +11,8 @@
 //
 // Every scenario must end in a completed job whose output is equivalent
 // to batch — recovery is only recovery if the answer does not change.
+// A dropped request reaches the worker in ivt-serve's error body, whose
+// category and retryability drive the worker's retry.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,8 +20,12 @@
 
 #include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
+#include "dist/coordinator.hpp"
+#include "dist/protocol.hpp"
 #include "dist/sim.hpp"
 #include "faultfx/faultfx.hpp"
+#include "serve/client.hpp"
+#include "serve/json.hpp"
 #include "signaldb/catalog.hpp"
 #include "simnet/datasets.hpp"
 
@@ -115,6 +121,37 @@ TEST_F(DistFaultTest, DroppedRegistrationsAreRetriedUntilAccepted) {
   EXPECT_GE(dist.result.dist.registrations_retried, 1u)
       << "coordinator must account for every dropped registration";
   EXPECT_TRUE(testdiff::outcomes_equivalent(batch_outcome(), dist));
+}
+
+TEST_F(DistFaultTest, CoordinatorErrorsReadAsServeErrorBodies) {
+  const colstore::ColumnarReader reader(*trace_path_);
+  core::PipelineConfig config = base_config();
+  config.exec_mode = core::ExecMode::Dist;
+  dist::CoordinatorConfig ccfg;
+  ccfg.trace_path = *trace_path_;
+  ccfg.catalog_path = *catalog_path_;
+  dist::Coordinator coordinator(dataset_->catalog, config, reader, ccfg);
+  coordinator.start();
+  serve::Client client(coordinator.host(), coordinator.port());
+
+  ASSERT_EQ(faultfx::arm("dist.register:error"), 1u);
+  const serve::ClientResponse dropped =
+      client.request(serve::json::Object{}
+                         .add("op", dist::kOpRegister)
+                         .add("worker", "w1")
+                         .str());
+  faultfx::disarm_all();
+  EXPECT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.error_category(), "overloaded");
+  EXPECT_TRUE(dropped.retryable());
+  EXPECT_NE(dropped.error_message(), "");
+
+  const serve::ClientResponse unknown =
+      client.request(R"({"op":"dist.nonsense"})");
+  EXPECT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error_category(), "decode");
+  EXPECT_FALSE(unknown.retryable());
+  coordinator.stop();
 }
 
 TEST_F(DistFaultTest, StarvedHeartbeatsKillReassignAndMergeCorrectly) {

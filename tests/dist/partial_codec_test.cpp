@@ -132,7 +132,7 @@ TEST(PartialCodecTest, EveryTruncationThrowsDecode) {
     SCOPED_TRACE("keep=" + std::to_string(keep));
     const std::string bad = good.substr(0, keep);
     try {
-      decode_partials(bad);
+      static_cast<void>(decode_partials(bad));
       FAIL() << "truncated payload decoded";
     } catch (const errors::Error& e) {
       EXPECT_EQ(e.category(), errors::Category::Decode);
@@ -144,7 +144,7 @@ TEST(PartialCodecTest, TrailingBytesThrowDecode) {
   std::string bad = encode_partials(make_partials());
   bad.push_back('\x00');
   try {
-    decode_partials(bad);
+    static_cast<void>(decode_partials(bad));
     FAIL() << "trailing byte accepted";
   } catch (const errors::Error& e) {
     EXPECT_EQ(e.category(), errors::Category::Decode);
@@ -218,7 +218,7 @@ TEST(PartialCodecTest, OverflowingLengthThrowsDecode) {
   bad[2] = '\xFF';
   bad[3] = '\x7F';
   try {
-    decode_partials(bad);
+    static_cast<void>(decode_partials(bad));
     FAIL() << "hostile count accepted";
   } catch (const errors::Error& e) {
     EXPECT_EQ(e.category(), errors::Category::Decode);

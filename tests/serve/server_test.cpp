@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -41,6 +42,15 @@ dataflow::Engine inline_engine() {
   config.workers = 0;
   config.inline_execution = true;
   return dataflow::Engine(config);
+}
+
+// Lines of /proc/self/maps: every live or unjoined thread keeps its stack
+// and guard page mapped.
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
 }
 
 // Reads the engine's own accounting through the stats op.
@@ -405,6 +415,53 @@ TEST_F(ServerTest, MidRequestFaultYieldsTypedErrorNotDrop) {
       client.request(R"({"op":"preselect","trace":"syn"})");
   EXPECT_TRUE(recovered.ok()) << recovered.error_message();
   EXPECT_GT(recovered.body.get_int("rows", 0), 0);
+}
+
+TEST_F(ServerTest, EndedConnectionsDoNotKeepTheirThreads) {
+  // Each connection runs on its own thread. A thread left unjoined after
+  // its connection ends keeps its stack mapped, about 8 MB and two map
+  // lines each, until stop(): a daemon answering one-shot `ivt query`
+  // clients would grow without bound.
+  const auto server = make_server();
+  const auto ping_once = [&] {
+    Client client(server->host(), server->port());
+    ASSERT_TRUE(client.request(R"({"op":"ping"})").ok());
+  };
+  for (int i = 0; i < 10; ++i) ping_once();  // pool and allocator warm
+  const std::size_t before = mapped_regions();
+  for (int i = 0; i < 200; ++i) ping_once();
+  EXPECT_LT(mapped_regions(), before + 100)
+      << "200 ended connections left their thread stacks mapped";
+}
+
+TEST_F(ServerTest, AcceptFaultDropsThatConnectionAndKeepsServing) {
+  const auto server = make_server();
+  obs::Counter& faults =
+      obs::Registry::instance().counter("serve.accept_faults");
+  const std::uint64_t faults_before = faults.value();
+  // every=2 fires on the site's odd-numbered evaluations, counted over
+  // the process; connections are accepted in the order they are made.
+  const std::uint64_t evaluated = faultfx::evaluations("serve.accept");
+  ASSERT_EQ(faultfx::arm("serve.accept:error:every=2"), 1u);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("connection " + std::to_string(i));
+    Client client(server->host(), server->port());
+    if ((evaluated + i) % 2 == 1) {
+      try {
+        static_cast<void>(client.request(R"({"op":"ping"})"));
+        ADD_FAILURE() << "a dropped connection answered";
+      } catch (const errors::Error& e) {
+        EXPECT_EQ(e.category(), errors::Category::Io) << e.describe();
+      }
+    } else {
+      EXPECT_TRUE(client.request(R"({"op":"ping"})").ok());
+    }
+  }
+  faultfx::disarm_all();
+  EXPECT_EQ(faults.value() - faults_before, 2u);
+  EXPECT_TRUE(Client(server->host(), server->port())
+                  .request(R"({"op":"ping"})")
+                  .ok());
 }
 
 TEST_F(ServerTest, ShutdownOpStopsTheServer) {
