@@ -44,8 +44,10 @@ void BM_InterpretJoinFused(benchmark::State& state) {
   options.catalog = &workload().dataset.catalog;
   std::size_t rows = 0;
   for (auto _ : state) {
-    const auto ks =
-        core::extract_signals(engine, workload().kb, workload().urel, options);
+    // The table-level kernels themselves, not the morsel executor: this
+    // ablation compares interpretation designs on one materialized K_b.
+    const auto kpre = core::preselect(engine, workload().kb, workload().urel);
+    const auto ks = core::interpret(engine, kpre, workload().urel, options);
     rows = ks.num_rows();
     benchmark::DoNotOptimize(rows);
   }

@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/trace.hpp"
@@ -16,18 +17,19 @@ namespace {
 
 using namespace ivt;
 
-struct Workload {
-  simnet::Dataset dataset;
-  simnet::VehiclePlan plan;
-  dataflow::Table kb;
+simnet::Dataset lig_dataset() {
+  simnet::DatasetConfig config;
+  config.scale = 2e-3 * bench::bench_scale();
+  config.seed = 42;
+  return simnet::make_lig_dataset(config);
+}
 
-  Workload() : plan(simnet::plan_vehicle(simnet::lig_spec(), 42)) {
-    simnet::DatasetConfig config;
-    config.scale = 2e-3 * bench::bench_scale();
-    config.seed = 42;
-    dataset = simnet::make_lig_dataset(config);
-    kb = tracefile::to_kb_table(dataset.trace, 32);
-  }
+/// The LIG trace packed into 32 chunks: the morsels the executor runs.
+struct Workload {
+  simnet::Dataset dataset = lig_dataset();
+  simnet::VehiclePlan plan = simnet::plan_vehicle(simnet::lig_spec(), 42);
+  colstore::ColumnarReader reader = colstore::open_trace(
+      dataset.trace, {.chunk_rows = (dataset.trace.size() + 31) / 32});
 };
 
 Workload& workload() {
@@ -52,7 +54,7 @@ void BM_PipelineWithReduction(benchmark::State& state) {
   std::size_t reduced = 0;
   std::size_t ks = 0;
   for (auto _ : state) {
-    const auto result = pipeline.run(engine, workload().kb);
+    const auto result = pipeline.run(engine, workload().reader);
     krep = result.krep_rows;
     reduced = result.reduced_rows;
     ks = result.ks_rows;
@@ -70,7 +72,7 @@ void BM_PipelineWithoutReduction(benchmark::State& state) {
                                 base_config(false));
   std::size_t krep = 0;
   for (auto _ : state) {
-    const auto result = pipeline.run(engine, workload().kb);
+    const auto result = pipeline.run(engine, workload().reader);
     krep = result.krep_rows;
     benchmark::DoNotOptimize(krep);
   }
@@ -84,7 +86,7 @@ void BM_StateReprAfterReduction(benchmark::State& state) {
   dataflow::Engine engine({.workers = bench::bench_workers()});
   core::PipelineConfig config = base_config(true);
   const core::Pipeline pipeline(workload().dataset.catalog, config);
-  const auto result = pipeline.run(engine, workload().kb);
+  const auto result = pipeline.run(engine, workload().reader);
   for (auto _ : state) {
     const auto table =
         core::build_state_representation(engine, result.krep);
@@ -97,7 +99,7 @@ void BM_StateReprWithoutReduction(benchmark::State& state) {
   dataflow::Engine engine({.workers = bench::bench_workers()});
   core::PipelineConfig config = base_config(false);
   const core::Pipeline pipeline(workload().dataset.catalog, config);
-  const auto result = pipeline.run(engine, workload().kb);
+  const auto result = pipeline.run(engine, workload().reader);
   for (auto _ : state) {
     const auto table =
         core::build_state_representation(engine, result.krep);

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/trace.hpp"
@@ -13,19 +14,19 @@ namespace {
 
 using namespace ivt;
 
-struct Workload {
-  simnet::Dataset dataset;
-  simnet::VehiclePlan plan;
-  dataflow::Table kb;
+simnet::Dataset lig_dataset() {
+  simnet::DatasetConfig config;
+  config.scale = 2e-3 * bench::bench_scale();
+  config.seed = 42;
+  return simnet::make_lig_dataset(config);
+}
 
-  Workload()
-      : plan(simnet::plan_vehicle(simnet::lig_spec(), 42)) {
-    simnet::DatasetConfig config;
-    config.scale = 2e-3 * bench::bench_scale();
-    config.seed = 42;
-    dataset = simnet::make_lig_dataset(config);
-    kb = tracefile::to_kb_table(dataset.trace, 64);
-  }
+/// The LIG trace packed into 64 chunks: the morsels the executor runs.
+struct Workload {
+  simnet::Dataset dataset = lig_dataset();
+  simnet::VehiclePlan plan = simnet::plan_vehicle(simnet::lig_spec(), 42);
+  colstore::ColumnarReader reader = colstore::open_trace(
+      dataset.trace, {.chunk_rows = (dataset.trace.size() + 63) / 64});
 };
 
 Workload& workload() {
@@ -41,10 +42,12 @@ void BM_PipelineWorkers(benchmark::State& state) {
       workload().plan.recommended_rate_threshold_hz;
   const core::Pipeline pipeline(workload().dataset.catalog, config);
   for (auto _ : state) {
-    const auto result = pipeline.extract_and_reduce(engine, workload().kb);
+    const auto result =
+        pipeline.extract_and_reduce(engine, workload().reader);
     benchmark::DoNotOptimize(result.reduced_rows);
   }
-  state.counters["kb_rows"] = static_cast<double>(workload().kb.num_rows());
+  state.counters["kb_rows"] =
+      static_cast<double>(workload().reader.num_rows());
 }
 BENCHMARK(BM_PipelineWorkers)
     ->Arg(1)

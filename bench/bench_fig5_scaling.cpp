@@ -1,25 +1,18 @@
 // Paper Fig. 5: execution time of Algorithm 1 lines 3–11 (interpretation
 // + splitting + reduction) vs. number of examples, one series per data
-// set, with a constant number of signal types — run on BOTH paths over
-// the same chunked .ivc input:
-//
-//   batch      the whole-table path (what `ivt run` takes over a .ivt
-//              trace): a full scan materializes K_b, then the staged
-//              extract → split → reduce pipeline runs over it;
-//   streaming  the morsel executor (`ivt run` over a .ivc trace, under
-//              --exec batch and streaming alike) fuses decode +
-//              preselect + interpret + split per chunk, never
-//              materializing K_b or K_s.
+// set, with a constant number of signal types, through the morsel
+// executor every front end runs (decode + preselect + interpret + split
+// fused per chunk, never materializing K_b or K_s) over chunked .ivc
+// input — one series per --scan mode. The rows keep the exec label
+// "streaming" they carried when a whole-table "batch" series ran beside
+// them.
 //
 // Protocol (matching paper Sec. 5.1 "Execution performance"): per data
 // set, the trace prefix is increased step-wise; all signal types of the
 // data set are interpreted; identical subsequent signal instances are
 // removed as the reduction; one channel per signal type is analyzed
 // (gateway dedup). Expect linear curves (O(n) row-wise interpretation)
-// with matching throughput across modes, and a lower memory high-water
-// mark for streaming. The streaming run of each step executes FIRST:
-// ru_maxrss is a process-lifetime maximum, so the streaming rows record
-// the peak before batch's K_b materialization has ever happened.
+// with matching counts across scan modes.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -137,40 +130,32 @@ int main(int argc, char** argv) {
         mode_config.scan_mode = scan_mode;
         const core::Pipeline pipeline(ds.catalog, mode_config);
 
-        // Streaming first — see the header comment on ru_maxrss.
-        for (const bool streaming : {true, false}) {
-          bench::Stopwatch timer;
-          const core::Pipeline::ReducedResult result =
-              streaming
-                  ? pipeline.extract_and_reduce(engine, reader)
-                  : pipeline.extract_and_reduce(
-                        engine,
-                        reader.scan(colstore::ScanPredicate{}, engine,
-                                    colstore::ScanOptions{.mode = scan_mode}));
-          const double ms = timer.seconds() * 1e3;
-          const char* exec = streaming ? "streaming" : "batch";
-          const char* scan = colstore::to_string(scan_mode);
-          const std::uint64_t peak_rss = bench::peak_rss_bytes();
-          std::printf("%-8s %-10s %-10s %12zu %12zu %12zu %14.2f %12.1f\n",
-                      spec.name.c_str(), exec, scan, rows, result.ks_rows,
-                      result.reduced_rows, ms,
-                      static_cast<double>(peak_rss) / (1024.0 * 1024.0));
-          bench::JsonRecord record;
-          record.add("bench", "fig5_scaling")
-              .add("dataset", spec.name)
-              .add("exec", exec)
-              .add("scan", scan)
-              .add("quick", quick)
-              .add("step", static_cast<std::uint64_t>(step))
-              .add("kb_rows", static_cast<std::uint64_t>(rows))
-              .add("examples", static_cast<std::uint64_t>(result.ks_rows))
-              .add("reduced", static_cast<std::uint64_t>(result.reduced_rows))
-              .add("time_ms", ms)
-              .add("peak_rss_bytes", peak_rss);
-          bench::add_robustness_fields(record,
-                                       bench::read_robustness_counters());
-          json.emit(record);
-        }
+        bench::Stopwatch timer;
+        const core::Pipeline::ReducedResult result =
+            pipeline.extract_and_reduce(engine, reader);
+        const double ms = timer.seconds() * 1e3;
+        const char* exec = "streaming";
+        const char* scan = colstore::to_string(scan_mode);
+        const std::uint64_t peak_rss = bench::peak_rss_bytes();
+        std::printf("%-8s %-10s %-10s %12zu %12zu %12zu %14.2f %12.1f\n",
+                    spec.name.c_str(), exec, scan, rows, result.ks_rows,
+                    result.reduced_rows, ms,
+                    static_cast<double>(peak_rss) / (1024.0 * 1024.0));
+        bench::JsonRecord record;
+        record.add("bench", "fig5_scaling")
+            .add("dataset", spec.name)
+            .add("exec", exec)
+            .add("scan", scan)
+            .add("quick", quick)
+            .add("step", static_cast<std::uint64_t>(step))
+            .add("kb_rows", static_cast<std::uint64_t>(rows))
+            .add("examples", static_cast<std::uint64_t>(result.ks_rows))
+            .add("reduced", static_cast<std::uint64_t>(result.reduced_rows))
+            .add("time_ms", ms)
+            .add("peak_rss_bytes", peak_rss);
+        bench::add_robustness_fields(record,
+                                     bench::read_robustness_counters());
+        json.emit(record);
       }
     }
     std::puts("");

@@ -17,6 +17,7 @@
 #include <map>
 
 #include "bench_util.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/trace.hpp"
@@ -51,8 +52,8 @@ int main() {
     pconfig.classifier.rate_threshold_hz = plan.recommended_rate_threshold_hz;
     pconfig.build_state = false;
     const core::Pipeline pipeline(ds.catalog, pconfig);
-    const auto kb = tracefile::to_kb_table(ds.trace, 32);
-    const core::PipelineResult result = pipeline.run(engine, kb);
+    const core::PipelineResult result =
+        pipeline.run(engine, colstore::open_trace(ds.trace));
 
     Row row;
     row.types = ds.catalog.num_signals();

@@ -9,6 +9,7 @@
 #include "apps/anomaly.hpp"
 #include "apps/association_rules.hpp"
 #include "apps/transition_graph.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "dataflow/ops.hpp"
 #include "simnet/datasets.hpp"
@@ -37,8 +38,8 @@ int main() {
   const core::Pipeline pipeline(dataset.catalog, pipeline_config);
 
   dataflow::Engine engine({.workers = 4});
-  const auto kb = tracefile::to_kb_table(dataset.trace, 16);
-  const core::PipelineResult result = pipeline.run(engine, kb);
+  const core::PipelineResult result =
+      pipeline.run(engine, colstore::open_trace(dataset.trace));
   std::printf("K_s %zu -> reduced %zu -> R_out %zu, state rows %zu\n\n",
               result.ks_rows, result.reduced_rows, result.krep_rows,
               result.state.num_rows());

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "baseline/inhouse_tool.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/binary_format.hpp"
@@ -53,8 +54,8 @@ int main() {
     tracefile::TraceRecord rec;
     while (reader.next(rec)) loaded.records.push_back(rec);
 
-    const auto kb = tracefile::to_kb_table(loaded, 16);
-    const core::PipelineResult result = pipeline.run(engine, kb);
+    const core::PipelineResult result =
+        pipeline.run(engine, colstore::open_trace(loaded));
     std::printf("%-8s %10zu %10zu %10zu %10zu\n", loaded.journey.c_str(),
                 loaded.records.size(), result.ks_rows, result.reduced_rows,
                 result.state.num_rows());

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "signaldb/catalog.hpp"
 #include "tracefile/trace.hpp"
@@ -152,8 +153,8 @@ int main() {
   const core::Pipeline pipeline(catalog, config);
 
   dataflow::Engine engine({.workers = 4});
-  const auto kb = tracefile::to_kb_table(trace, 8);
-  const core::PipelineResult result = pipeline.run(engine, kb);
+  const core::PipelineResult result =
+      pipeline.run(engine, colstore::open_trace(trace));
 
   std::printf("K_s rows %zu -> reduced %zu -> state rows %zu\n\n",
               result.ks_rows, result.reduced_rows, result.state.num_rows());

@@ -4,6 +4,7 @@
 // fused trace — the off-board toolchain of paper Fig. 1.
 #include <cstdio>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "signaldb/catalog.hpp"
@@ -105,7 +106,7 @@ int main() {
   const core::Pipeline pipeline(catalog, config);
   dataflow::Engine engine({.workers = 2});
   const core::PipelineResult result =
-      pipeline.run(engine, tracefile::to_kb_table(window, 8));
+      pipeline.run(engine, colstore::open_trace(window));
 
   std::puts("");
   std::printf("%s\n", core::report_to_text(result).c_str());

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "dataflow/csv.hpp"
 #include "simnet/datasets.hpp"
@@ -42,9 +43,11 @@ int main() {
   const core::Pipeline pipeline(dataset.catalog, config);
 
   // --- 4: run on the distributed engine ----------------------------------
+  // The trace is packed into an in-memory columnar image; each chunk is
+  // then decoded, preselected, interpreted and split as one task.
   dataflow::Engine engine({.workers = 4});
-  const auto kb = tracefile::to_kb_table(dataset.trace, 16);
-  const core::PipelineResult result = pipeline.run(engine, kb);
+  const core::PipelineResult result =
+      pipeline.run(engine, colstore::open_trace(dataset.trace));
 
   std::printf("\nK_b rows      : %zu\n", result.kb_rows);
   std::printf("K_pre rows    : %zu (after preselection)\n", result.kpre_rows);

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/interpret.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "core/urel.hpp"
 #include "signaldb/catalog.hpp"
@@ -122,27 +122,27 @@ int main() {
   }
 
   dataflow::Engine engine({.workers = 2});
-  const auto kb = tracefile::to_kb_table(trace, 4);
-  std::cout << "K_b (raw byte tuples):\n" << kb.to_display_string(3) << "\n";
+  std::cout << "K_b (raw byte tuples):\n"
+            << tracefile::to_kb_table(trace, 1).to_display_string(3) << "\n";
 
   // --- Structuring: the expert selects wpos + wvel as U_comb -------------
   const auto urel = core::make_urel_table(catalog, {"wpos", "wvel"});
   std::cout << "U_comb (translation tuples):\n"
             << urel.to_display_string(2) << "\n";
 
-  // --- Interpretation: K_b -> K_s (Fig. 2 mapping) ------------------------
-  core::InterpretOptions interpret_options;
-  interpret_options.catalog = &catalog;
-  const auto ks = core::extract_signals(engine, kb, urel, interpret_options);
-  std::cout << "K_s (signal instances):\n" << ks.to_display_string(4) << "\n";
-
   // --- Full pipeline with the wposGap extension (paper Table 2) ----------
   core::PipelineConfig config;
   config.signals = {"wpos", "wvel"};
   config.extensions = {core::gap_extension(),
                        core::cycle_violation_extension(1.5)};
+  config.keep_ks = true;
   const core::Pipeline pipeline(catalog, config);
-  const core::PipelineResult result = pipeline.run(engine, kb);
+  const core::PipelineResult result =
+      pipeline.run(engine, colstore::open_trace(trace));
+
+  // --- Interpretation: K_b -> K_s (Fig. 2 mapping) ------------------------
+  std::cout << "K_s (signal instances):\n"
+            << result.ks.to_display_string(4) << "\n";
 
   std::cout << "Homogenized sequence R_out:\n"
             << result.krep.to_display_string(12) << "\n";

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -17,10 +18,8 @@
 #include "apps/transition_graph.hpp"
 #include "colstore/columnar_reader.hpp"
 #include "colstore/columnar_writer.hpp"
-#include "core/interpret.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
-#include "core/schemas.hpp"
 #include "core/urel.hpp"
 #include "dataflow/csv.hpp"
 #include "dataflow/ops.hpp"
@@ -71,8 +70,9 @@ commands:
       --out PATH              .ivc output (required)
       --chunk-rows N          rows per chunk (default 65536)
 
-  extract      signal extraction (Algorithm 1 lines 3-6) to a table file;
-               .ivc traces are scanned with zone-map predicate pushdown
+  extract      signal extraction (Algorithm 1 lines 3-6) to a table file,
+               scanned with zone-map predicate pushdown (a .ivt trace is
+               packed into memory first)
       --trace PATH            .ivt or .ivc trace (required)
       --catalog PATH          .ivsdb catalog (required)
       --signals a,b,c         U_comb selection (default: all signals)
@@ -96,17 +96,15 @@ commands:
   run          full preprocessing pipeline (Algorithm 1)
       --trace, --catalog, --signals, --workers   as in extract
       --exec batch|streaming|dist   execution mode (default batch).
-                              Over a .ivc trace, batch and streaming are
-                              the same executor: decode+preselect+
-                              interpret+split fused into one
-                              bounded-admission task per chunk, with
-                              bounded peak memory. Over a .ivt trace,
-                              batch runs the staged whole-table pipeline.
-                              dist runs the sharded coordinator/worker
-                              executor in-process over loopback
-                              (byte-identical output; see the coordinator
-                              and worker commands for the multi-process
-                              form). streaming and dist require a columnar
+                              batch and streaming are the same executor:
+                              decode+preselect+interpret+split fused into
+                              one bounded-admission task per chunk, with
+                              bounded peak memory (a .ivt trace is packed
+                              into memory first). dist runs the sharded
+                              coordinator/worker executor in-process over
+                              loopback (byte-identical output; see the
+                              coordinator and worker commands for the
+                              multi-process form); it requires a columnar
                               .ivc trace
       --sim-nodes N           dist: simulated worker nodes (default 4)
       --sim-failure-rate P    dist: per-assignment probability a node dies
@@ -345,19 +343,6 @@ errors::ErrorPolicy error_policy_arg(const Args& args) {
   return *policy;
 }
 
-/// K_b table of a row-oriented .ivt trace, through the in-memory Trace
-/// model. Under Skip/Quarantine a corrupt record-stream tail is dropped
-/// and recorded in `failures` instead of aborting.
-dataflow::Table load_ivt_kb(const std::string& trace_path,
-                            dataflow::Engine& engine,
-                            errors::ErrorPolicy on_error =
-                                errors::ErrorPolicy::Fail,
-                            errors::FailureLog* failures = nullptr) {
-  const tracefile::Trace trace =
-      tracefile::load_trace_tolerant(trace_path, on_error, failures);
-  return tracefile::to_kb_table(trace, engine.default_partitions());
-}
-
 /// Quarantine epilogue shared by extract/run: writes the sidecar manifest
 /// next to the input and tells the user on stderr.
 void write_quarantine_sidecar(const std::string& trace_path,
@@ -571,39 +556,24 @@ int cmd_extract(const Args& args) {
                         ? core::make_full_urel_table(catalog)
                         : core::make_urel_table(catalog, signals);
   errors::FailureLog failures;
-  dataflow::Table ks(core::ks_schema());
-  std::size_t input_rows = 0;
-  if (colstore::is_columnar_trace_file(trace_path)) {
-    // Columnar container: lines 3–6 of the morsel executor. U_comb is
-    // pushed down into the scan, so only chunks whose zone maps can match
-    // are decoded at all, and each surviving chunk is preselected and
-    // interpreted as one task on the engine.
-    const colstore::ColumnarReader reader(trace_path);
-    input_rows = reader.num_rows();
-    const core::MorselProcessor processor(reader, urel, config, &failures);
-    std::vector<dataflow::Partition> parts(processor.num_morsels());
-    engine.parallel_for(parts.size(), [&processor, &parts](std::size_t k) {
-      parts[k] = processor.extract(k);
-    });
-    for (dataflow::Partition& part : parts) ks.add_partition(std::move(part));
-    const colstore::ScanStats stats = processor.stats();
-    std::fprintf(stderr,
-                 "pushdown scan: %zu/%zu chunks decoded, %zu/%zu rows "
-                 "materialized\n",
-                 stats.chunks_scanned, stats.chunks_total,
-                 stats.rows_emitted, input_rows);
-    if (stats.chunks_quarantined > 0) {
-      std::fprintf(stderr, "corrupt chunks dropped: %zu (%zu rows)\n",
-                   stats.chunks_quarantined, stats.rows_quarantined);
-    }
-  } else {
-    const tracefile::Trace trace =
-        tracefile::load_trace_tolerant(trace_path, config.on_error,
-                                       &failures);
-    const auto kb =
-        tracefile::to_kb_table(trace, engine.default_partitions());
-    input_rows = kb.num_rows();
-    ks = core::extract_signals(engine, kb, urel, config.interpret);
+  // Lines 3–6 of the morsel executor. U_comb is pushed down into the
+  // scan, so only chunks whose zone maps can match are decoded at all,
+  // and each surviving chunk is preselected and interpreted as one task
+  // on the engine.
+  const colstore::ColumnarReader reader =
+      colstore::open_trace(trace_path, config.on_error, &failures);
+  const std::size_t input_rows = reader.num_rows();
+  const core::MorselProcessor processor(reader, urel, config, &failures);
+  const dataflow::Table ks = processor.extract_all(engine);
+  const colstore::ScanStats stats = processor.stats();
+  std::fprintf(stderr,
+               "pushdown scan: %zu/%zu chunks decoded, %zu/%zu rows "
+               "materialized\n",
+               stats.chunks_scanned, stats.chunks_total, stats.rows_emitted,
+               input_rows);
+  if (stats.chunks_quarantined > 0) {
+    std::fprintf(stderr, "corrupt chunks dropped: %zu (%zu rows)\n",
+                 stats.chunks_quarantined, stats.rows_quarantined);
   }
   write_table_arg(ks, out_path);
   std::fprintf(stderr, "extracted %zu signal instances from %zu records -> %s\n",
@@ -670,41 +640,34 @@ int cmd_run(const Args& args) {
 
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, config);
-  core::PipelineResult result;
-  if (colstore::is_columnar_trace_file(trace_path)) {
-    const colstore::ColumnarReader reader(trace_path);
-    if (config.exec_mode == core::ExecMode::Dist) {
-      // Sharded coordinator/worker execution over loopback: one real
-      // coordinator plus N node threads running the real worker loop.
-      // Recovery events land in the report's "failures"."dist" section,
-      // not result.failures — a recovered run is a clean run.
-      result = dist::run_dist(catalog, config, reader, dist_config, engine);
-    } else {
-      // The morsel executor (--exec batch and streaming alike) already
-      // folds scan-level losses (quarantined chunks) into
-      // result.failures.
-      result = pipeline.run(engine, reader);
-    }
-  } else {
-    if (config.exec_mode != core::ExecMode::Batch) {
-      throw std::invalid_argument(
-          std::string("--exec=") + core::to_string(config.exec_mode) +
-          " requires a columnar .ivc trace ('" + trace_path +
-          "' is not one; convert it with 'ivt pack' first)");
-    }
-    errors::FailureLog ingest_failures;
-    const auto kb =
-        load_ivt_kb(trace_path, engine, config.on_error, &ingest_failures);
-    result = pipeline.run(engine, kb);
-
-    // Fold upstream ingest losses (truncated record streams) into the run
-    // report next to the dropped sequences.
-    std::vector<errors::FailureRecord> combined = ingest_failures.records();
-    for (errors::FailureRecord& f : result.failures) {
-      combined.push_back(std::move(f));
-    }
-    result.failures = std::move(combined);
+  if (config.exec_mode == core::ExecMode::Dist &&
+      !colstore::is_columnar_trace_file(trace_path)) {
+    // Workers open the trace by path, so it must already be packed.
+    throw std::invalid_argument(
+        "--exec=dist requires a columnar .ivc trace ('" + trace_path +
+        "' is not one; convert it with 'ivt pack' first)");
   }
+  errors::FailureLog ingest_failures;
+  const colstore::ColumnarReader reader =
+      colstore::open_trace(trace_path, config.on_error, &ingest_failures);
+  core::PipelineResult result;
+  if (config.exec_mode == core::ExecMode::Dist) {
+    // Sharded coordinator/worker execution over loopback: one real
+    // coordinator plus N node threads running the real worker loop.
+    // Recovery events land in the report's "failures"."dist" section,
+    // not result.failures — a recovered run is a clean run.
+    result = dist::run_dist(catalog, config, reader, dist_config, engine);
+  } else {
+    // The morsel executor (--exec batch and streaming alike) already
+    // folds scan-level losses (quarantined chunks) into result.failures.
+    result = pipeline.run(engine, reader);
+  }
+  // Ingest losses (a truncated .ivt record stream) come first.
+  std::vector<errors::FailureRecord> combined = ingest_failures.records();
+  combined.insert(combined.end(),
+                  std::make_move_iterator(result.failures.begin()),
+                  std::make_move_iterator(result.failures.end()));
+  result.failures = std::move(combined);
 
   if (state_path) write_table_arg(result.state, *state_path);
   if (krep_path) write_table_arg(result.krep, *krep_path);
@@ -749,12 +712,8 @@ int cmd_mine(const Args& args) {
 
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, config);
-  // .ivc traces run through the morsel executor, .ivt traces through the
-  // whole-table path.
   const core::PipelineResult result =
-      colstore::is_columnar_trace_file(trace_path)
-          ? pipeline.run(engine, colstore::ColumnarReader(trace_path))
-          : pipeline.run(engine, load_ivt_kb(trace_path, engine));
+      pipeline.run(engine, colstore::open_trace(trace_path));
   std::printf("%s\n", core::report_summary_line(result).c_str());
 
   // 1. Element anomalies.

@@ -70,7 +70,10 @@ class ColumnarReader {
     return footer_.key_dict;
   }
 
-  /// Zone-map-pruned scan into a K_b table, decoding sequentially.
+  /// Zone-map-pruned scan into a K_b table, decoding sequentially. The
+  /// scan overloads are not a production path (every front end runs the
+  /// morsel executor over cursor()); they stay for the scan benches and
+  /// ivt_bench's traced pass.
   [[nodiscard]] dataflow::Table scan(const ScanPredicate& pred = {},
                                      ScanStats* stats = nullptr) const;
 

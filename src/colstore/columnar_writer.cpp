@@ -5,10 +5,12 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "colstore/encoding.hpp"
 #include "errors/error.hpp"
+#include "obs/obs.hpp"
 #include "tracefile/binary_format.hpp"
 
 namespace ivt::colstore {
@@ -204,16 +206,77 @@ void ColumnarWriter::finish() {
   if (!out_) IVT_THROW(errors::Category::Io, "ivc: write failed");
 }
 
+namespace {
+
+void write_trace(const tracefile::Trace& trace, std::ostream& out,
+                 ColumnarWriterOptions options) {
+  ColumnarWriter writer(out, trace.vehicle, trace.journey,
+                        trace.start_unix_ns, options);
+  for (const tracefile::TraceRecord& rec : trace.records) writer.write(rec);
+  writer.finish();
+}
+
+/// The .ivt -> .ivc record loop; fills the records and chunks of the
+/// stats. Under Skip/Quarantine a corrupt record ends the stream: the
+/// loss goes to `failures` and the records before it stay packed.
+PackStats pack_records(std::istream& in, std::ostream& out,
+                       ColumnarWriterOptions options,
+                       errors::ErrorPolicy on_error,
+                       errors::FailureLog* failures,
+                       const std::string& ivt_path) {
+  // Header corruption is never tolerated: without it there is no trace.
+  tracefile::TraceReader reader(in);
+  ColumnarWriter writer(out, reader.vehicle(), reader.journey(),
+                        reader.start_unix_ns(), options);
+  tracefile::TraceRecord rec;
+  for (;;) {
+    try {
+      if (!reader.next(rec)) break;
+    } catch (const errors::Error& e) {
+      if (on_error == errors::ErrorPolicy::Fail ||
+          e.severity() == errors::Severity::Fatal) {
+        throw;
+      }
+      OBS_COUNT("tracefile.tails_dropped", 1);
+      if (failures != nullptr) {
+        failures->add("tracefile.read_record",
+                      "record stream tail after record " +
+                          std::to_string(writer.records_written()) + " of " +
+                          ivt_path,
+                      e);
+      }
+      break;
+    }
+    writer.write(rec);
+  }
+  writer.finish();
+  PackStats stats;
+  stats.records = writer.records_written();
+  stats.chunks = writer.chunks_written();
+  return stats;
+}
+
+}  // namespace
+
 void save_trace_columnar(const tracefile::Trace& trace,
                          const std::string& path,
                          ColumnarWriterOptions options) {
   std::ofstream out(path, std::ios::binary);
   if (!out) IVT_THROW(errors::Category::Io, "cannot open for write: " + path);
-  ColumnarWriter writer(out, trace.vehicle, trace.journey,
-                        trace.start_unix_ns, options);
-  for (const tracefile::TraceRecord& rec : trace.records) writer.write(rec);
-  writer.finish();
+  write_trace(trace, out, options);
   if (!out) IVT_THROW(errors::Category::Io, "write failed: " + path);
+}
+
+std::string pack_trace(const tracefile::Trace& trace,
+                       ColumnarWriterOptions options) {
+  std::ostringstream out;
+  write_trace(trace, out, options);
+  return std::move(out).str();
+}
+
+ColumnarReader open_trace(const tracefile::Trace& trace,
+                          ColumnarWriterOptions options) {
+  return ColumnarReader::from_buffer(pack_trace(trace, options));
 }
 
 PackStats pack_trace_file(const std::string& ivt_path,
@@ -224,24 +287,33 @@ PackStats pack_trace_file(const std::string& ivt_path,
   std::ofstream out(ivc_path, std::ios::binary);
   if (!out) IVT_THROW(errors::Category::Io, "cannot open for write: " + ivc_path);
 
-  tracefile::TraceReader reader(in);
-  ColumnarWriter writer(out, reader.vehicle(), reader.journey(),
-                        reader.start_unix_ns(), options);
-  tracefile::TraceRecord rec;
-  while (reader.next(rec)) writer.write(rec);
-  writer.finish();
+  PackStats stats = pack_records(in, out, options, errors::ErrorPolicy::Fail,
+                                 nullptr, ivt_path);
   if (!out) IVT_THROW(errors::Category::Io, "write failed: " + ivc_path);
   out.close();
 
-  PackStats stats;
-  stats.records = writer.records_written();
-  stats.chunks = writer.chunks_written();
   std::error_code ec;
   stats.input_bytes = std::filesystem::file_size(ivt_path, ec);
   if (ec) stats.input_bytes = 0;
   stats.output_bytes = std::filesystem::file_size(ivc_path, ec);
   if (ec) stats.output_bytes = 0;
   return stats;
+}
+
+ColumnarReader open_trace(const std::string& path,
+                          errors::ErrorPolicy on_error,
+                          errors::FailureLog* failures) {
+  if (is_columnar_trace_file(path)) return ColumnarReader(path);
+  OBS_SPAN_V(span, "tracefile.load");
+  std::ifstream in(path, std::ios::binary);
+  if (!in) IVT_THROW(errors::Category::Io, "cannot open for read: " + path);
+  std::ostringstream out;
+  const PackStats stats = errors::with_context("loading " + path, [&] {
+    return pack_records(in, out, {}, on_error, failures, path);
+  });
+  span.set_rows(stats.records);
+  OBS_COUNT("tracefile.records_read", stats.records);
+  return ColumnarReader::from_buffer(std::move(out).str());
 }
 
 }  // namespace ivt::colstore

@@ -8,7 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "colstore/columnar_reader.hpp"
 #include "colstore/format.hpp"
+#include "errors/error.hpp"
+#include "errors/failure_log.hpp"
 #include "tracefile/trace.hpp"
 
 namespace ivt::colstore {
@@ -91,5 +94,26 @@ struct PackStats {
 PackStats pack_trace_file(const std::string& ivt_path,
                           const std::string& ivc_path,
                           ColumnarWriterOptions options = {});
+
+/// The .ivc image of an in-memory trace, written by the same loop as
+/// save_trace_columnar (ColumnarReader::from_buffer opens it).
+std::string pack_trace(const tracefile::Trace& trace,
+                       ColumnarWriterOptions options = {});
+
+/// `trace` as a reader over its in-memory .ivc image (pack_trace).
+ColumnarReader open_trace(const tracefile::Trace& trace,
+                          ColumnarWriterOptions options = {});
+
+/// Any trace file as a reader, so every input runs the one morsel
+/// executor: a .ivc file opens as is; a .ivt file streams its records
+/// through the pack_trace_file loop into an in-memory image at the
+/// default chunk size, and no Trace is built. Under Skip/Quarantine a
+/// corrupt .ivt record drops the tail of the stream (the record stream
+/// has no framing to resync on) and the loss is recorded in `failures`
+/// as a `tracefile.read_record` failure; under Fail it throws.
+ColumnarReader open_trace(const std::string& path,
+                          errors::ErrorPolicy on_error =
+                              errors::ErrorPolicy::Fail,
+                          errors::FailureLog* failures = nullptr);
 
 }  // namespace ivt::colstore

@@ -63,11 +63,6 @@ Table preselect(Engine& engine, const Table& kb, const Table& urel) {
       "preselect");
 }
 
-Table preselect(Engine& engine, const colstore::ColumnarReader& reader,
-                const Table& urel, colstore::ScanStats* stats) {
-  return preselect(engine, reader, urel, colstore::ScanOptions{}, stats);
-}
-
 colstore::ScanPredicate urel_scan_predicate(const Table& urel) {
   colstore::ScanPredicate pred;
   for (MessageKey& key : relevant_message_keys(urel)) {
@@ -318,12 +313,6 @@ Table interpret(Engine& engine, const Table& kpre, const Table& urel,
         kernel.interpret_partition(p, kpre.schema(), out);
         return out;
       });
-}
-
-Table extract_signals(Engine& engine, const Table& kb, const Table& urel,
-                      const InterpretOptions& options) {
-  const Table kpre = preselect(engine, kb, urel);
-  return interpret(engine, kpre, urel, options);
 }
 
 }  // namespace ivt::core

@@ -30,24 +30,23 @@ struct InterpretOptions {
   bool skip_error_frames = false;
 };
 
+// The whole-table stages below (both preselect overloads, interpret) are
+// not a production path: every front end runs lines 3–6 per morsel
+// through MorselProcessor. They stay for the kernel ablation benches and
+// for ivt_bench's traced pass, which times them stage by stage.
+
 /// Line 3: K_pre = σ_{(m_id,b_id) ∈ U_comb}(K_b).
 dataflow::Table preselect(dataflow::Engine& engine, const dataflow::Table& kb,
                           const dataflow::Table& urel);
 
-/// Line 3 with storage pushdown: instead of decoding all of K_b and then
-/// filtering, push the U_comb (m_id, b_id) set into a columnar scan —
-/// chunks whose zone maps cannot intersect the set are skipped entirely,
-/// and surviving chunks are row-filtered to the exact pair set during
-/// decode. Returns the same K_pre rows, in the same logical order, as
-/// preselect(engine, reader.scan(), urel).
-dataflow::Table preselect(dataflow::Engine& engine,
-                          const colstore::ColumnarReader& reader,
-                          const dataflow::Table& urel,
-                          colstore::ScanStats* stats = nullptr);
-
-/// Pushdown preselect with a failure policy: under Skip/Quarantine a
-/// chunk that fails to decode is dropped (recorded in `options.failures`
-/// and the scan stats) instead of aborting the run.
+/// Line 3 with storage pushdown: the U_comb (m_id, b_id) set is pushed
+/// into a columnar scan — chunks whose zone maps cannot intersect the set
+/// are skipped entirely, and surviving chunks are row-filtered to the
+/// exact pair set during decode. Returns the same K_pre rows, in the same
+/// logical order, as preselect(engine, reader.scan(), urel). Under
+/// Skip/Quarantine (`options`) a chunk that fails to decode is dropped
+/// (recorded in `options.failures` and the scan stats) instead of
+/// aborting the run.
 dataflow::Table preselect(dataflow::Engine& engine,
                           const colstore::ColumnarReader& reader,
                           const dataflow::Table& urel,
@@ -55,15 +54,15 @@ dataflow::Table preselect(dataflow::Engine& engine,
                           colstore::ScanStats* stats = nullptr);
 
 /// The ScanPredicate form of U_comb's (m_id, b_id) set, as pushed down by
-/// the pushdown preselect overloads and by the streaming execution path —
-/// both must prune and row-filter identically.
+/// the pushdown preselect and by the morsel executor — both must prune
+/// and row-filter identically.
 colstore::ScanPredicate urel_scan_predicate(const dataflow::Table& urel);
 
 /// Reusable fused interpretation kernel (join probe + u1 + u2 of
 /// Algorithm 1 lines 4–6): the broadcast U_comb map is built once, then
-/// interpret_partition() turns any K_pre partition into K_s rows. Both the
-/// batch interpret() stage and the streaming morsel path run through this
-/// class, so the two execution modes cannot drift semantically.
+/// interpret_partition() turns any K_pre partition into K_s rows. The
+/// morsel executor and the whole-table interpret() both run through this
+/// class, so the two cannot drift semantically.
 class InterpretKernel {
  public:
   /// Build the broadcast side from U_comb. `urel` and the catalog in
@@ -112,19 +111,13 @@ class InterpretKernel {
 };
 
 /// Lines 4–6: K_s = F_u2(F_u1(K_pre ⋈ U_comb)), run as the fused
-/// InterpretKernel over every K_pre partition. K_join is never
-/// materialized: the join probe and both mappings are one pipelined
-/// stage, the plan a Spark optimizer produces (broadcast join +
-/// whole-stage codegen).
+/// InterpretKernel over every K_pre partition (see the note above
+/// preselect). K_join is never materialized: the join probe and both
+/// mappings are one pipelined stage, the plan a Spark optimizer produces
+/// (broadcast join + whole-stage codegen).
 dataflow::Table interpret(dataflow::Engine& engine,
                           const dataflow::Table& kpre,
                           const dataflow::Table& urel,
                           const InterpretOptions& options = {});
-
-/// Convenience: preselect + interpret.
-dataflow::Table extract_signals(dataflow::Engine& engine,
-                                const dataflow::Table& kb,
-                                const dataflow::Table& urel,
-                                const InterpretOptions& options = {});
 
 }  // namespace ivt::core

@@ -34,10 +34,10 @@ void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial) {
 
 SplitDataResult merge_split_segments(KeyedSegments&& keyed,
                                      const SplitOptions& options) {
-  // Within one key, morsel order == chunk order == batch partition order,
-  // so concatenating segments sorted by morsel reproduces the batch
-  // phase-2 concatenation; across keys, (first morsel, first row) sorts
-  // into exactly the batch first-appearance order.
+  // Within one key, morsel order == chunk order == trace order, so
+  // concatenating segments sorted by morsel reproduces the key's rows in
+  // trace order; across keys, (first morsel, first row) sorts into
+  // exactly the first-appearance order over the whole trace.
   struct FirstHit {
     std::size_t morsel;
     std::size_t row;
@@ -127,6 +127,15 @@ dataflow::Partition MorselProcessor::extract(std::size_t k,
   span.set_rows(ks_part.num_rows());
   interpret_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   return ks_part;
+}
+
+dataflow::Table MorselProcessor::extract_all(dataflow::Engine& engine) const {
+  std::vector<dataflow::Partition> parts(num_morsels());
+  engine.parallel_for(parts.size(),
+                      [this, &parts](std::size_t k) { parts[k] = extract(k); });
+  dataflow::Table ks(ks_schema());
+  for (dataflow::Partition& part : parts) ks.add_partition(std::move(part));
+  return ks;
 }
 
 MorselPartial MorselProcessor::process(std::size_t k,

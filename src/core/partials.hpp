@@ -1,12 +1,12 @@
 // Morsel partials: the shared per-chunk unit of work and the order-stable
-// merge that every executor of Algorithm 1 lines 2–9 over .ivc data is
-// built from (in-process batch/streaming, dist, serve).
+// merge that every executor of Algorithm 1 lines 2–9 is built from
+// (in-process batch/streaming, dist, serve).
 //
 // The contract: morsel k is the k-th zone-map-surviving .ivc chunk in
 // file order; fusing decode → preselect → interpret → bucket per morsel
 // and merging the per-key segments sorted by (morsel, first-row)
-// reconstructs exactly the split of the whole-table path — so K_s, K_rep
-// and the state representation come out byte-identical. The units are
+// reconstructs exactly the split of the whole trace — so K_s, K_rep and
+// the state representation do not depend on the chunking. The units are
 // value types that can also cross a process boundary: a distributed
 // worker runs MorselProcessor::process(k) for its assigned chunk range,
 // ships the resulting MorselPartials to the coordinator, and the
@@ -72,11 +72,11 @@ using KeyedSegments =
 /// Move every segment of `partial` into `keyed` (partial is consumed).
 void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial);
 
-/// Order-stable merge shared by streaming and dist: per key, sort
-/// segments by morsel and concatenate (morsel order == chunk order ==
-/// batch partition order); order keys by (first morsel, first row) —
-/// exactly the batch first-appearance order — then group into split
-/// sequences. Consumes `keyed`.
+/// Order-stable merge shared by the in-process executor and dist: per
+/// key, sort segments by morsel and concatenate (morsel order == chunk
+/// order == trace order); order keys by (first morsel, first row) —
+/// exactly the first-appearance order over the whole trace — then group
+/// into split sequences. Consumes `keyed`.
 SplitDataResult merge_split_segments(KeyedSegments&& keyed,
                                      const SplitOptions& options);
 
@@ -126,6 +126,10 @@ class MorselProcessor {
   /// that survived preselection.
   [[nodiscard]] dataflow::Partition extract(
       std::size_t k, std::size_t* kpre_rows = nullptr) const;
+
+  /// extract() over every morsel in parallel on `engine`: K_s with one
+  /// partition per morsel, in morsel order (what `ivt extract` writes).
+  [[nodiscard]] dataflow::Table extract_all(dataflow::Engine& engine) const;
 
   /// Scan statistics so far (pruning fixed at construction; quarantine
   /// counters reflect the morsels processed so far).

@@ -190,105 +190,27 @@ const signaldb::SignalSpec* Pipeline::spec_of(const std::string& s_id) const {
   return ref.valid() ? ref.signal : nullptr;
 }
 
-dataflow::Table Pipeline::extract(dataflow::Engine& engine,
-                                  const dataflow::Table& kb) const {
-  return extract_signals(engine, kb, urel_, config_.interpret);
-}
-
-Pipeline::ReducedResult Pipeline::extract_and_reduce(
-    dataflow::Engine& engine, const dataflow::Table& kb) const {
-  OBS_SPAN("pipeline.extract_and_reduce");
-  dataflow::Table ks = [&] {
-    OBS_SPAN_V(span, "pipeline.interpret");
-    dataflow::Table t = extract(engine, kb);
-    span.set_rows(t.num_rows());
-    return t;
-  }();
-  SplitDataResult split = [&] {
-    OBS_SPAN_V(span, "pipeline.split");
-    return split_signals_data(engine, ks, config_.split);
-  }();
-  return reduce_all(engine, ks.num_rows(), std::move(split));
-}
-
 Pipeline::ReducedResult Pipeline::extract_and_reduce(
     dataflow::Engine& engine, const colstore::ColumnarReader& reader) const {
   OBS_SPAN("pipeline.extract_and_reduce");
   const MorselProcessor processor(reader, urel_, config_, nullptr);
   MorselRun run = run_morsels(engine, processor, config_.split, false);
-  ReducedResult result = reduce_all(engine, run.ks_rows, std::move(run.split));
-  OBS_GAUGE_SET("process.peak_rss_bytes",
-                static_cast<std::int64_t>(obs::peak_rss_bytes()));
-  return result;
-}
-
-Pipeline::ReducedResult Pipeline::reduce_all(dataflow::Engine& engine,
-                                             std::size_t ks_rows,
-                                             SplitDataResult split) const {
   ReducedResult result;
-  result.ks_rows = ks_rows;
-  result.correspondences = std::move(split.correspondences);
-  result.sequences.resize(split.sequences.size());
-  engine.parallel_for(split.sequences.size(), [&](std::size_t i) {
+  result.ks_rows = run.ks_rows;
+  result.correspondences = std::move(run.split.correspondences);
+  const std::vector<SequenceData>& split = run.split.sequences;
+  result.sequences.resize(split.size());
+  engine.parallel_for(split.size(), [&](std::size_t i) {
     OBS_SPAN_V(span, "sequence.reduce");
-    const SequenceData& seq = split.sequences[i];
     result.sequences[i] =
-        reduce_sequence(config_.constraints, seq, spec_of(seq.s_id));
+        reduce_sequence(config_.constraints, split[i], spec_of(split[i].s_id));
     span.set_rows(result.sequences[i].size());
   });
   for (const SequenceData& seq : result.sequences) {
     result.reduced_rows += seq.size();
   }
-  return result;
-}
-
-PipelineResult Pipeline::run(dataflow::Engine& engine,
-                             const dataflow::Table& kb) const {
-  OBS_SPAN("pipeline.run");
-  using Clock = std::chrono::steady_clock;
-  PipelineResult result;
-  result.kb_rows = kb.num_rows();
-  OBS_COUNT("pipeline.runs", 1);
-  OBS_COUNT("pipeline.kb_rows", result.kb_rows);
-
-  // Lines 3–6: preselection + interpretation.
-  auto stage_start = Clock::now();
-  const dataflow::Table kpre = [&] {
-    OBS_SPAN_V(span, "pipeline.preselect");
-    dataflow::Table t = preselect(engine, kb, urel_);
-    span.set_rows(t.num_rows());
-    return t;
-  }();
-  result.kpre_rows = kpre.num_rows();
-  record_stage_time(result.stage_times, "preselect", elapsed_ns(stage_start));
-
-  stage_start = Clock::now();
-  dataflow::Table ks = [&] {
-    OBS_SPAN_V(span, "pipeline.interpret");
-    dataflow::Table t = interpret(engine, kpre, urel_, config_.interpret);
-    span.set_rows(t.num_rows());
-    return t;
-  }();
-  result.ks_rows = ks.num_rows();
-  record_stage_time(result.stage_times, "interpret", elapsed_ns(stage_start));
-  OBS_COUNT("pipeline.ks_rows", result.ks_rows);
-
-  // Lines 7–9: splitting + gateway dedup.
-  stage_start = Clock::now();
-  SplitDataResult split = [&] {
-    OBS_SPAN_V(span, "pipeline.split");
-    SplitDataResult r = split_signals_data(engine, ks, config_.split);
-    span.set_rows(r.sequences.size());
-    return r;
-  }();
-  record_stage_time(result.stage_times, "split", elapsed_ns(stage_start));
-  if (config_.keep_ks) {
-    result.ks = std::move(ks);
-  } else {
-    ks = dataflow::Table(ks_schema());
-  }
-
-  process_and_merge(engine, std::move(split), result);
+  OBS_GAUGE_SET("process.peak_rss_bytes",
+                static_cast<std::int64_t>(obs::peak_rss_bytes()));
   return result;
 }
 

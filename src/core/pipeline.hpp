@@ -30,19 +30,21 @@ namespace ivt::core {
 /// How the pipeline executes lines 2–9 of Algorithm 1 over a columnar
 /// trace.
 ///
-/// Batch (default) and Streaming name the same in-process executor over
-/// .ivc data: U_comb is pushed down into the chunk scan and each
-/// surviving chunk flows decode → preselect → interpret → per-signal
-/// shard append as ONE morsel task; bounded task admission caps the
-/// number of decoded morsels in flight, so peak memory is bounded by the
-/// admission window × chunk size + the split accumulators. Both names
-/// stay so existing invocations keep working. (Over a materialized K_b
-/// table — a row-oriented .ivt trace — run(engine, kb) is the only path.)
+/// Batch (default) and Streaming name the same in-process executor, on
+/// every input (a .ivt file or an in-memory Trace runs it over an
+/// in-memory .ivc image, colstore::open_trace): U_comb is pushed down
+/// into the chunk scan and each surviving chunk flows decode → preselect
+/// → interpret → per-signal shard append as ONE morsel task; bounded
+/// task admission caps the number of decoded morsels in flight, so peak
+/// memory is bounded by the admission window × chunk size + the split
+/// accumulators. Both names stay so existing invocations keep working
+/// (`ivt run --exec streaming`, `ivt_bench jobs --mode streaming`).
 ///
 /// Dist: the same morsel work fanned out over coordinator-assigned
 /// worker processes (src/dist); orchestrated by the CLI layer
 /// (`ivt run --exec dist`), not by Pipeline::run — the core only merges
-/// the returned partials via merge_morsel_partials. Output is identical
+/// the returned partials via merge_morsel_partials. Workers open the
+/// trace by path, so it must be a packed .ivc file. Output is identical
 /// to the in-process executor, clean runs and recovered-failure runs
 /// alike.
 enum class ExecMode { Batch, Streaming, Dist };
@@ -175,12 +177,6 @@ class Pipeline {
   /// The parameterization table U_comb handed to the join.
   [[nodiscard]] const dataflow::Table& urel() const { return urel_; }
 
-  /// Full Algorithm 1 over a materialized K_b table (a row-oriented .ivt
-  /// trace). Stage by stage with a barrier between each; also the
-  /// reference the executor below is tested against.
-  PipelineResult run(dataflow::Engine& engine,
-                     const dataflow::Table& kb) const;
-
   /// Full Algorithm 1 from a columnar reader through the morsel executor
   /// (config().exec_mode Batch and Streaming alike; Dist is orchestrated
   /// by the CLI and throws here). Scan-level failures (quarantined
@@ -196,8 +192,8 @@ class Pipeline {
   /// predicate, each surviving chunk is decoded, preselected, interpreted
   /// and bucketed into hash-sharded split accumulators as one
   /// bounded-admission task, and the accumulators are merged order-stably
-  /// so K_s order, split sequences, K_rep and all counters are identical
-  /// to run(engine, kb) over the same rows.
+  /// so K_s order, split sequences, K_rep and all counters do not depend
+  /// on the chunk size, the worker count or the morsel schedule.
   PipelineResult run(dataflow::Engine& engine,
                      const colstore::ChunkSource& source,
                      colstore::ScanStats* stats = nullptr) const;
@@ -215,22 +211,15 @@ class Pipeline {
       std::size_t kpre_rows, std::size_t ks_rows,
       std::vector<errors::FailureRecord> failures) const;
 
-  /// Lines 3–6 only: preselection, join, interpretation. Returns K_s.
-  dataflow::Table extract(dataflow::Engine& engine,
-                          const dataflow::Table& kb) const;
-
   /// Lines 3–11 only (the scope of the paper's Fig. 5 measurement):
-  /// extraction, splitting/dedup and constraint reduction.
+  /// extraction, splitting/dedup and constraint reduction, through the
+  /// morsel executor.
   struct ReducedResult {
     std::size_t ks_rows = 0;
     std::size_t reduced_rows = 0;
     std::vector<SequenceData> sequences;
     std::vector<ChannelCorrespondence> correspondences;
   };
-  ReducedResult extract_and_reduce(dataflow::Engine& engine,
-                                   const dataflow::Table& kb) const;
-
-  /// Same straight from a reader, through the morsel executor.
   ReducedResult extract_and_reduce(
       dataflow::Engine& engine,
       const colstore::ColumnarReader& reader) const;
@@ -239,16 +228,10 @@ class Pipeline {
   [[nodiscard]] const signaldb::SignalSpec* spec_of(
       const std::string& s_id) const;
 
-  /// Lines 10–11 over every split sequence, shared by both
-  /// extract_and_reduce overloads.
-  ReducedResult reduce_all(dataflow::Engine& engine, std::size_t ks_rows,
-                           SplitDataResult split) const;
-
   /// Algorithm 1 lines 10–29 + state representation, shared verbatim by
-  /// the whole-table path, the morsel executor and dist: consumes
-  /// `split`, fills sequence reports, K_rep, state and the per-sequence
-  /// stage times, and appends dropped-sequence failures to
-  /// result.failures.
+  /// the morsel executor and dist: consumes `split`, fills sequence
+  /// reports, K_rep, state and the per-sequence stage times, and appends
+  /// dropped-sequence failures to result.failures.
   void process_and_merge(dataflow::Engine& engine, SplitDataResult split,
                          PipelineResult& result) const;
 

@@ -9,18 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "dataflow/table.hpp"
-
 namespace ivt::core {
 
 /// One signal type's instances on one channel, time-ordered.
-struct SignalSequence {
-  std::string s_id;
-  std::string bus;
-  dataflow::Table table;  ///< ks_schema rows of this signal only
-};
-
-/// Columnar materialization of a SignalSequence.
 struct SequenceData {
   std::string s_id;
   std::string bus;
@@ -39,16 +30,5 @@ struct SequenceData {
                : static_cast<double>(t.back() - t.front()) / 1e9;
   }
 };
-
-/// Flatten a ks_schema table into SequenceData (logical row order).
-SequenceData materialize_sequence(const SignalSequence& sequence);
-
-/// Rebuild a ks_schema table from SequenceData, keeping only the rows
-/// whose index is in `keep` (ascending).
-dataflow::Table sequence_to_table(const SequenceData& data,
-                                  const std::vector<std::size_t>& keep);
-
-/// Rebuild the full table.
-dataflow::Table sequence_to_table(const SequenceData& data);
 
 }  // namespace ivt::core

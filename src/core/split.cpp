@@ -163,17 +163,4 @@ SplitDataResult group_split_sequences(
   return result;
 }
 
-SplitResult split_signals(dataflow::Engine& engine, const dataflow::Table& ks,
-                          const SplitOptions& options) {
-  SplitDataResult data = split_signals_data(engine, ks, options);
-  SplitResult result;
-  result.correspondences = std::move(data.correspondences);
-  result.sequences.reserve(data.sequences.size());
-  for (const SequenceData& seq : data.sequences) {
-    result.sequences.push_back(
-        SignalSequence{seq.s_id, seq.bus, sequence_to_table(seq)});
-  }
-  return result;
-}
-
 }  // namespace ivt::core

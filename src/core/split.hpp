@@ -25,49 +25,41 @@ struct ChannelCorrespondence {
   std::vector<std::string> corresponding_buses;
 };
 
-struct SplitResult {
-  /// One entry per (signal type, distinct-content channel). With gateway
-  /// duplicates removed this is normally one entry per signal type.
-  std::vector<SignalSequence> sequences;
-  std::vector<ChannelCorrespondence> correspondences;
-};
-
 struct SplitOptions {
   /// Run the equality check e(·) and drop duplicate channels. When false,
   /// every (s_id, b_id) combination yields its own sequence.
   bool dedup_channels = true;
 };
 
-/// Split the K_s table per signal type (single parallel scan; semantics of
-/// the per-type σ selections in Algorithm 1 line 8). Sequence order is
-/// deterministic: signal types in order of first appearance, channels per
-/// type in order of first appearance.
-SplitResult split_signals(dataflow::Engine& engine, const dataflow::Table& ks,
-                          const SplitOptions& options = {});
-
 /// The equality check e(·): two channels correspond when they carry the
 /// same number of instances with pairwise equal values (time stamps may
 /// differ by the forwarding latency). Exposed for tests.
 bool sequences_equal(const SequenceData& a, const SequenceData& b);
 
-/// Lower-level variant used by the pipeline: returns the materialized
-/// SequenceData directly (no intermediate per-sequence tables).
+/// The split: one entry per (signal type, distinct-content channel). With
+/// gateway duplicates removed this is normally one entry per signal type.
+/// Order is deterministic: signal types in order of first appearance,
+/// channels per type in order of first appearance.
 struct SplitDataResult {
   std::vector<SequenceData> sequences;
   std::vector<ChannelCorrespondence> correspondences;
 };
+
+/// Split a whole K_s table per signal type (single parallel scan;
+/// semantics of the per-type σ selections in Algorithm 1 line 8). Not a
+/// production path — the morsel executor splits per morsel with the
+/// building blocks below; it stays for ivt_bench's traced pass.
 SplitDataResult split_signals_data(dataflow::Engine& engine,
                                    const dataflow::Table& ks,
                                    const SplitOptions& options = {});
 
-// --- Building blocks shared with the streaming morsel path ---------------
+// --- Building blocks of the morsel executor's split ----------------------
 //
-// The streaming executor buckets each morsel's K_s rows as it is produced
+// The executor buckets each morsel's K_s rows as it is produced
 // (bucket_split_partition), appends the per-morsel segments into
-// hash-sharded accumulators, reconstructs the batch key order from
-// (first morsel, first row) tags, and finally reuses the same channel
-// grouping + e(·) dedup (group_split_sequences). Because every step is
-// shared or order-reconstructing, both modes emit identical sequences.
+// hash-sharded accumulators, reconstructs the whole-trace key order from
+// (first morsel, first row) tags, and finally runs the channel grouping +
+// e(·) dedup (group_split_sequences).
 
 /// Bucket key: s_id and bus, separated by a unit separator (neither may
 /// contain it: bus/signal names come from the catalog).

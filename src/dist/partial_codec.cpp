@@ -29,6 +29,7 @@ void put_str(std::string& out, const std::string& s) {
 template <typename T>
 void put_array(std::string& out, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
+  if (v.empty()) return;  // data() may be null
   out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
@@ -62,6 +63,7 @@ class Reader {
     static_assert(std::is_trivially_copyable_v<T>);
     need(n * sizeof(T));
     std::vector<T> v(n);
+    if (n == 0) return v;  // v.data() is null: no memcpy
     std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;

@@ -9,9 +9,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -278,16 +280,34 @@ void FrameServer::stop() {
 }
 
 void FrameServer::accept_loop() {
+  bool exhausted = false;  // in a run of resource-exhaustion failures
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      const int err = errno;
+      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
+        // Out of descriptors or memory: the listener is fine, and a
+        // connection that ends frees what the next accept needs. Back off
+        // briefly (the loop re-checks stopping_) and keep accepting; the
+        // kernel holds pending handshakes in the backlog meanwhile.
+        OBS_COUNT("serve.accept_exhausted", 1);
+        if (!exhausted) {
+          std::fprintf(stderr, "ivt: accept on %s:%u failed: %s; retrying\n",
+                       host_.c_str(), static_cast<unsigned>(port_),
+                       std::strerror(err));
+        }
+        exhausted = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
       std::fprintf(stderr, "ivt: accept on %s:%u failed: %s\n",
                    host_.c_str(), static_cast<unsigned>(port_),
-                   std::strerror(errno));
+                   std::strerror(err));
       return;
     }
+    exhausted = false;
     try {
       // Models a failure while setting up the accepted connection (fd
       // limit races, early peer reset). The daemon must shrug it off:

@@ -97,7 +97,10 @@ using FrameHandler = std::function<Frame(const Frame& request)>;
 ///
 /// The `serve.accept` fault site sits between accept() and the
 /// connection's thread: a triggered fault drops that connection, counts
-/// it in `serve.accept_faults` and keeps accepting.
+/// it in `serve.accept_faults` and keeps accepting. Running out of
+/// descriptors or memory in accept() (EMFILE, ENFILE, ENOBUFS, ENOMEM)
+/// does not stop the listener either: each failure counts in
+/// `serve.accept_exhausted`, and the loop backs off briefly and retries.
 class FrameServer {
  public:
   /// Configures; start() binds. Every accepted connection adds one to

@@ -205,44 +205,6 @@ Trace load_trace(const std::string& path) {
   return trace;
 }
 
-Trace load_trace_tolerant(const std::string& path,
-                          errors::ErrorPolicy on_error,
-                          errors::FailureLog* failures) {
-  if (on_error == errors::ErrorPolicy::Fail) return load_trace(path);
-  OBS_SPAN_V(span, "tracefile.load");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) IVT_THROW(errors::Category::Io, "cannot open for read: " + path);
-  // Header corruption is never tolerated — without it there is no trace.
-  TraceReader reader(in);
-  Trace trace;
-  trace.vehicle = reader.vehicle();
-  trace.journey = reader.journey();
-  trace.start_unix_ns = reader.start_unix_ns();
-  TraceRecord rec;
-  for (;;) {
-    try {
-      if (!reader.next(rec)) break;
-    } catch (const errors::Error& e) {
-      if (e.severity() == errors::Severity::Fatal) throw;
-      // The record stream has no per-record framing to resync on, so a
-      // corrupt record costs the tail of the file. Record the loss.
-      OBS_COUNT("tracefile.tails_dropped", 1);
-      if (failures != nullptr) {
-        failures->add("tracefile.read_record",
-                      "record stream tail after record " +
-                          std::to_string(trace.records.size()) + " of " +
-                          path,
-                      e);
-      }
-      break;
-    }
-    trace.records.push_back(rec);
-  }
-  span.set_rows(trace.records.size());
-  OBS_COUNT("tracefile.records_read", trace.records.size());
-  return trace;
-}
-
 void export_asc(const Trace& trace, std::ostream& out) {
   out << "date ns_epoch " << trace.start_unix_ns << " vehicle "
       << trace.vehicle << " journey " << trace.journey << "\n";

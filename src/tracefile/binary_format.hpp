@@ -18,7 +18,6 @@
 #include <unordered_map>
 
 #include "errors/error.hpp"
-#include "errors/failure_log.hpp"
 #include "tracefile/trace.hpp"
 
 namespace ivt::tracefile {
@@ -72,14 +71,6 @@ class TraceReader {
 /// (Io for stream problems, Format/Decode for corrupt containers).
 void save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
-
-/// Like load_trace, but under Skip/Quarantine a corrupt record stream is
-/// truncated at the first bad record instead of aborting (the .ivt stream
-/// has no per-record framing to resync on); the loss is appended to
-/// `failures` when given. Fail delegates to load_trace.
-Trace load_trace_tolerant(const std::string& path,
-                          errors::ErrorPolicy on_error,
-                          errors::FailureLog* failures = nullptr);
 
 /// Vector-style ASC-like text export (one line per record) for eyeballing
 /// traces in a pager; not meant to be re-parsed.

@@ -54,16 +54,6 @@ Trace sample_trace() {
   return trace;
 }
 
-/// Serialize a trace to an in-memory .ivc image.
-std::string to_ivc_buffer(const Trace& trace, std::size_t chunk_rows) {
-  std::ostringstream out(std::ios::binary);
-  ColumnarWriter writer(out, trace.vehicle, trace.journey,
-                        trace.start_unix_ns, {.chunk_rows = chunk_rows});
-  for (const TraceRecord& rec : trace.records) writer.write(rec);
-  writer.finish();
-  return out.str();
-}
-
 /// A trace laid out so chunk boundaries separate ids, buses and times:
 /// chunk c (of 4 rows) has ids in [100c, 100c+3], bus "BUS<c>", and
 /// t_ns in [1000c, 1000c+3].
@@ -84,8 +74,7 @@ Trace clustered_trace(std::size_t chunks) {
 
 TEST(ColstoreTest, RoundTripTraceAndTable) {
   const Trace t = sample_trace();
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 2));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 2});
   EXPECT_EQ(reader.vehicle(), t.vehicle);
   EXPECT_EQ(reader.journey(), t.journey);
   EXPECT_EQ(reader.start_unix_ns(), t.start_unix_ns);
@@ -115,8 +104,7 @@ TEST(ColstoreTest, EmptyTrace) {
   Trace t;
   t.vehicle = "V";
   t.journey = "J";
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 16));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 16});
   EXPECT_EQ(reader.num_chunks(), 0u);
   EXPECT_EQ(reader.num_rows(), 0u);
   EXPECT_TRUE(reader.read_trace().records.empty());
@@ -127,8 +115,7 @@ TEST(ColstoreTest, EmptyTrace) {
 
 TEST(ColstoreTest, ChunkRolloverAndZoneMaps) {
   const Trace t = clustered_trace(3);  // 12 records, chunk_rows = 4
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ASSERT_EQ(reader.num_chunks(), 3u);
   for (std::size_t c = 0; c < 3; ++c) {
     const ChunkInfo& info = reader.chunk(c);
@@ -147,8 +134,7 @@ TEST(ColstoreTest, ChunkRolloverAndZoneMaps) {
 TEST(ColstoreTest, UnevenLastChunk) {
   Trace t = clustered_trace(2);
   t.records.push_back(make_record(9'999, "TAIL", 999));
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ASSERT_EQ(reader.num_chunks(), 3u);
   EXPECT_EQ(reader.chunk(2).row_count, 1u);
   EXPECT_EQ(reader.num_rows(), 9u);
@@ -157,8 +143,7 @@ TEST(ColstoreTest, UnevenLastChunk) {
 
 TEST(ColstoreTest, MessageIdPredicatePrunesChunks) {
   const Trace t = clustered_trace(4);
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ScanPredicate pred;
   pred.message_ids = {101, 103};  // chunk 1 only
   ScanStats stats;
@@ -176,8 +161,7 @@ TEST(ColstoreTest, MessageIdPredicatePrunesChunks) {
 
 TEST(ColstoreTest, TimeRangePredicateInclusiveBounds) {
   const Trace t = clustered_trace(4);  // t_ns 0..3, 1000..1003, ...
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ScanPredicate pred;
   pred.has_time_range = true;
   pred.min_t_ns = 1'003;  // last row of chunk 1
@@ -193,8 +177,7 @@ TEST(ColstoreTest, TimeRangePredicateInclusiveBounds) {
 
 TEST(ColstoreTest, BusPredicatePrunesViaBitmap) {
   const Trace t = clustered_trace(3);
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ScanPredicate pred;
   pred.buses = {"BUS2"};
   ScanStats stats;
@@ -208,8 +191,7 @@ TEST(ColstoreTest, BusPredicatePrunesViaBitmap) {
 
 TEST(ColstoreTest, UnknownBusScansNothing) {
   const Trace t = clustered_trace(2);
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ScanPredicate pred;
   pred.buses = {"NOPE"};
   ScanStats stats;
@@ -230,8 +212,7 @@ TEST(ColstoreTest, PairPredicateIsExactNotCrossProduct) {
       make_record(2, "B", 1),
       make_record(3, "B", 2),
   };
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 8));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 8});
   ScanPredicate pred;
   pred.bus_message_pairs = {{"A", 1}, {"B", 2}};
   const dataflow::Table out = reader.scan(pred);
@@ -245,8 +226,7 @@ TEST(ColstoreTest, PairPredicateIsExactNotCrossProduct) {
 
 TEST(ColstoreTest, ParallelScansMatchSequential) {
   const Trace t = clustered_trace(8);
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(t, 4));
+  const ColumnarReader reader = open_trace(t, {.chunk_rows = 4});
   ScanPredicate pred;
   pred.message_ids = {100, 201, 302, 403, 704};
   const auto expected = reader.scan(pred).collect_rows();
@@ -282,11 +262,10 @@ TEST(ColstoreTest, PreselectPushdownMatchesTablePreselect) {
   const dataflow::Table kb = tracefile::to_kb_table(trace, 4);
   const dataflow::Table via_table = core::preselect(engine, kb, urel);
 
-  const ColumnarReader reader =
-      ColumnarReader::from_buffer(to_ivc_buffer(trace, 16));
+  const ColumnarReader reader = open_trace(trace, {.chunk_rows = 16});
   ScanStats stats;
   const dataflow::Table via_scan =
-      core::preselect(engine, reader, urel, &stats);
+      core::preselect(engine, reader, urel, ScanOptions{}, &stats);
 
   EXPECT_EQ(via_scan.collect_rows(), via_table.collect_rows());
   EXPECT_EQ(stats.rows_emitted, via_table.num_rows());
@@ -305,6 +284,9 @@ TEST(ColstoreTest, PackMatchesDirectSave) {
   EXPECT_GT(stats.output_bytes, 0u);
   const ColumnarReader reader(ivc);
   EXPECT_EQ(reader.read_trace().records, t.records);
+  // Either container opens as a reader over the same records.
+  EXPECT_EQ(open_trace(ivc).read_trace().records, t.records);
+  EXPECT_EQ(open_trace(ivt).read_trace().records, t.records);
 }
 
 TEST(ColstoreTest, WriterMisuseThrows) {
@@ -328,7 +310,7 @@ TEST(ColstoreTest, WriterMisuseThrows) {
 }
 
 TEST(ColstoreTest, CorruptInputsThrow) {
-  const std::string good = to_ivc_buffer(sample_trace(), 2);
+  const std::string good = pack_trace(sample_trace(), {.chunk_rows = 2});
 
   {  // Bad header magic.
     std::string bad = good;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,18 +180,9 @@ tracefile::Trace all_equal_trace(std::int64_t message_id, int rows) {
   return trace;
 }
 
-ColumnarReader pack_reader(const tracefile::Trace& trace,
-                           std::size_t chunk_rows) {
-  std::ostringstream out(std::ios::binary);
-  ColumnarWriter writer(out, trace.vehicle, trace.journey, 0,
-                        {.chunk_rows = chunk_rows});
-  for (const auto& rec : trace.records) writer.write(rec);
-  writer.finish();
-  return ColumnarReader::from_buffer(out.str());
-}
-
 TEST(ZoneMapBoundaryTest, AllEqualChunkMinEqualsMaxPrunesExactly) {
-  const ColumnarReader reader = pack_reader(all_equal_trace(0x100, 40), 10);
+  const ColumnarReader reader =
+      open_trace(all_equal_trace(0x100, 40), {.chunk_rows = 10});
   for (const ChunkInfo& info : reader.chunks()) {
     EXPECT_EQ(info.min_message_id, 0x100);
     EXPECT_EQ(info.max_message_id, 0x100);
@@ -229,7 +219,7 @@ TEST(ZoneMapBoundaryTest, SingleRowChunkZoneMapsAreExact) {
     rec.message_id = i;
     trace.records.push_back(std::move(rec));
   }
-  const ColumnarReader reader = pack_reader(trace, 1);
+  const ColumnarReader reader = open_trace(trace, {.chunk_rows = 1});
   ASSERT_EQ(reader.num_chunks(), 5u);
   ScanPredicate pred;
   pred.has_time_range = true;
@@ -265,7 +255,7 @@ TEST(ZoneMapBoundaryTest, BoundaryIdValuesSurvivePackScan) {
     rec.message_id = ids[i];
     trace.records.push_back(std::move(rec));
   }
-  const ColumnarReader reader = pack_reader(trace, 3);
+  const ColumnarReader reader = open_trace(trace, {.chunk_rows = 3});
   for (const std::int64_t id : ids) {
     SCOPED_TRACE("id=" + std::to_string(id));
     ScanPredicate pred;

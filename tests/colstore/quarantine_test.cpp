@@ -2,13 +2,12 @@
 // (tests/common/corruption.hpp): a vandalised .ivc chunk is quarantined
 // under Skip/Quarantine — the scan resyncs at the next chunk boundary and
 // healthy chunks survive — while Fail propagates a context-chained typed
-// error. Also covers the tolerant .ivt loader and a bit-flip sweep
+// error. Also covers the tolerant .ivt opener and a bit-flip sweep
 // asserting "typed error or clean result, never a crash".
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,18 +42,9 @@ Trace make_trace(std::size_t records) {
   return trace;
 }
 
-std::string to_ivc_buffer(const Trace& trace, std::size_t chunk_rows) {
-  std::ostringstream out(std::ios::binary);
-  ColumnarWriter writer(out, trace.vehicle, trace.journey,
-                        trace.start_unix_ns, {.chunk_rows = chunk_rows});
-  for (const TraceRecord& rec : trace.records) writer.write(rec);
-  writer.finish();
-  return out.str();
-}
-
 TEST(QuarantineTest, StompedChunkQuarantinedNeighboursSurvive) {
   const Trace t = make_trace(20);  // 5 chunks of 4 rows
-  const testcorrupt::IvcCorruptor corruptor(to_ivc_buffer(t, 4));
+  const testcorrupt::IvcCorruptor corruptor(pack_trace(t, {.chunk_rows = 4}));
   ASSERT_EQ(corruptor.num_chunks(), 5u);
   const std::string bad = corruptor.with_stomped_chunk(2);
 
@@ -103,7 +93,7 @@ TEST(QuarantineTest, StompedChunkQuarantinedNeighboursSurvive) {
 
 TEST(QuarantineTest, ParallelScanMatchesSequentialUnderQuarantine) {
   const Trace t = make_trace(32);  // 8 chunks of 4 rows
-  const testcorrupt::IvcCorruptor corruptor(to_ivc_buffer(t, 4));
+  const testcorrupt::IvcCorruptor corruptor(pack_trace(t, {.chunk_rows = 4}));
   std::string bad = corruptor.with_stomped_chunk(1);
   // Stomp a second chunk so resync is exercised more than once.
   testcorrupt::stomp(bad, corruptor.chunk_offset(5) + 4, 8);
@@ -126,7 +116,8 @@ TEST(QuarantineTest, ParallelScanMatchesSequentialUnderQuarantine) {
 }
 
 TEST(QuarantineTest, HeaderAndFooterCorruptionIsTypedNotQuarantinable) {
-  const testcorrupt::IvcCorruptor corruptor(to_ivc_buffer(make_trace(8), 4));
+  const testcorrupt::IvcCorruptor corruptor(
+      pack_trace(make_trace(8), {.chunk_rows = 4}));
   // Structural damage outside chunk bodies breaks indexing itself, so it
   // surfaces at construction — Format for a bad magic/footer frame, Decode
   // when the vandalised footer bytes fail mid-parse. There is no chunk to
@@ -146,7 +137,7 @@ TEST(QuarantineTest, HeaderAndFooterCorruptionIsTypedNotQuarantinable) {
 }
 
 TEST(QuarantineTest, BitFlipSweepNeverCrashes) {
-  const std::string good = to_ivc_buffer(make_trace(12), 4);
+  const std::string good = pack_trace(make_trace(12), {.chunk_rows = 4});
   // Flip every 13th bit across the whole image. Every outcome must be a
   // typed error or a successful (possibly degraded) scan — no aborts, no
   // uncaught non-standard exceptions.
@@ -170,13 +161,12 @@ TEST(QuarantineTest, TolerantIvtLoadTruncatesAtFirstBadRecord) {
   const std::string path = ::testing::TempDir() + "/quarantine_tolerant.ivt";
   tracefile::save_trace(t, path);
 
-  // Undamaged file: tolerant load equals strict load.
-  EXPECT_EQ(tracefile::load_trace_tolerant(path, errors::ErrorPolicy::Skip)
-                .records,
+  // Undamaged file: the tolerant open equals the strict load.
+  EXPECT_EQ(open_trace(path, errors::ErrorPolicy::Skip).read_trace().records,
             t.records);
 
-  // Chop the file mid-stream: strict load throws, tolerant load keeps the
-  // records before the damage and logs the truncation.
+  // Chop the file mid-stream: the strict open throws, the tolerant open
+  // keeps the records before the damage and logs the truncation.
   std::ifstream in(path, std::ios::binary);
   std::string image{std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>()};
@@ -189,8 +179,9 @@ TEST(QuarantineTest, TolerantIvtLoadTruncatesAtFirstBadRecord) {
   EXPECT_THROW((void)tracefile::load_trace(bad_path), errors::Error);
 
   errors::FailureLog failures;
-  const Trace recovered = tracefile::load_trace_tolerant(
-      bad_path, errors::ErrorPolicy::Quarantine, &failures);
+  const Trace recovered =
+      open_trace(bad_path, errors::ErrorPolicy::Quarantine, &failures)
+          .read_trace();
   ASSERT_EQ(recovered.records.size(), t.records.size() - 1);
   for (std::size_t i = 0; i < recovered.records.size(); ++i) {
     EXPECT_EQ(recovered.records[i], t.records[i]);
@@ -199,10 +190,9 @@ TEST(QuarantineTest, TolerantIvtLoadTruncatesAtFirstBadRecord) {
   EXPECT_EQ(failures.records()[0].site, "tracefile.read_record");
   EXPECT_EQ(failures.records()[0].category, errors::Category::Format);
 
-  // Fail delegates to the strict loader.
-  EXPECT_THROW(
-      (void)tracefile::load_trace_tolerant(bad_path, errors::ErrorPolicy::Fail),
-      errors::Error);
+  // Fail throws, as the strict loader does.
+  EXPECT_THROW((void)open_trace(bad_path, errors::ErrorPolicy::Fail),
+               errors::Error);
 }
 
 }  // namespace

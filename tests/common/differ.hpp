@@ -1,26 +1,28 @@
 // Differential harness: run Algorithm 1 over the same columnar trace
-// through the morsel executor and through an independent reference, and
-// assert that every observable outcome is identical — tables
-// byte-for-byte (K_s, K_rep, state), the processing report, per-site
-// failure counters and the CLI-equivalent exit code. The executor's
-// entire correctness claim is "same output, bounded memory"; this harness
-// is how that claim is checked.
+// through a front end and through an independent reference, and assert
+// that every observable outcome is identical — tables byte-for-byte (K_s,
+// K_rep, state), the processing report, per-site failure counters and
+// the CLI-equivalent exit code.
 //
-// The reference is ExecMode::Batch here: a full reader.scan materializes
-// K_b (honouring the error policy), then the whole-table
-// Pipeline::run(engine, kb) runs stage by stage, with scan failures listed
-// ahead of sequence failures. Over .ivc data the production `--exec
-// batch` is the executor itself, so it cannot be its own reference.
-//
-// On clean input the reference is in turn held against the test-only
-// oracle of Algorithm 1 lines 3–9 (reference.hpp): its K_s, sequence
-// reports and correspondences must equal the oracle's, so every mode
-// compared with the reference is tied to the oracle too.
+// The reference is the oracle of Algorithm 1 lines 3–9 (reference.hpp),
+// in clean and fault cases alike:
+//   1. a full scan with no predicate reads the rows that survive the
+//      run's error policy, so a quarantined chunk drops exactly its own
+//      rows — the contract;
+//   2. testref::run_algorithm1 runs lines 3–9 over them;
+//   3. the oracle's per-(s_id, bus) channels, before e(·), go to
+//      Pipeline::merge_morsel_partials as one segment each, so lines
+//      10–29 are the shared production code;
+//   4. scan failures are listed ahead of sequence failures.
+// No production line 2–9 runs in the reference. The production grouping
+// and e(·) it passes through are checked against the oracle's own
+// (matches_oracle), so every front end compared with the reference is
+// checked against the paper's definition, not against a second
+// production path.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -28,12 +30,14 @@
 #include <vector>
 
 #include "colstore/columnar_reader.hpp"
+#include "core/partials.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "dataflow/engine.hpp"
 #include "errors/error.hpp"
 #include "errors/failure_log.hpp"
 #include "signaldb/catalog.hpp"
+#include "tracefile/trace.hpp"
 
 #include "reference.hpp"
 
@@ -49,25 +53,6 @@ struct RunOutcome {
   core::PipelineResult result;
   colstore::ScanStats scan_stats;
 };
-
-/// The reference run: full scan, then the whole-table pipeline.
-inline core::PipelineResult run_reference(
-    dataflow::Engine& engine, const core::Pipeline& pipeline,
-    const colstore::ColumnarReader& reader, colstore::ScanStats& stats) {
-  errors::FailureLog scan_failures;
-  colstore::ScanOptions options;
-  options.on_error = pipeline.config().on_error;
-  options.failures = &scan_failures;
-  options.mode = pipeline.config().scan_mode;
-  const dataflow::Table kb = reader.scan({}, engine, options, &stats);
-  core::PipelineResult result = pipeline.run(engine, kb);
-  std::vector<errors::FailureRecord> failures = scan_failures.records();
-  failures.insert(failures.end(),
-                  std::make_move_iterator(result.failures.begin()),
-                  std::make_move_iterator(result.failures.end()));
-  result.failures = std::move(failures);
-  return result;
-}
 
 /// Cell-exact table comparison (schema, row count, every value including
 /// nulls). Row order matters: the equivalence guarantee is byte-identity,
@@ -162,24 +147,65 @@ inline ::testing::AssertionResult matches_oracle(
   return ::testing::AssertionSuccess();
 }
 
+/// The reference run (see the header comment).
+inline core::PipelineResult run_reference(
+    dataflow::Engine& engine, const core::Pipeline& pipeline,
+    const colstore::ColumnarReader& reader, colstore::ScanStats& stats) {
+  const core::PipelineConfig& config = pipeline.config();
+  errors::FailureLog scan_failures;
+  colstore::ScanOptions scan_options;
+  scan_options.on_error = config.on_error;
+  scan_options.failures = &scan_failures;
+  scan_options.mode = config.scan_mode;
+  const tracefile::Trace survivors = tracefile::from_kb_table(
+      reader.scan({}, engine, scan_options, &stats));
+  const testref::Result oracle = testref::run_algorithm1(
+      survivors, pipeline.urel(),
+      {.catalog = config.interpret.catalog,
+       .skip_error_frames = config.interpret.skip_error_frames,
+       .dedup_channels = config.split.dedup_channels});
+
+  // One segment per channel; the channel index orders the keys by first
+  // appearance, as a K_s row index would.
+  core::KeyedSegments keyed;
+  for (std::size_t c = 0; c < oracle.channels.size(); ++c) {
+    const testref::Sequence& channel = oracle.channels[c];
+    core::SequenceData data;
+    data.s_id = channel.s_id;
+    data.bus = channel.bus;
+    for (const testref::Instance& s : channel.instances) {
+      data.t.push_back(s.t);
+      data.v_num.push_back(s.v_num);
+      data.has_num.push_back(1);
+      data.v_str.push_back(s.v_str.value_or(""));
+      data.has_str.push_back(s.v_str.has_value() ? 1 : 0);
+    }
+    keyed[core::split_bucket_key(channel.s_id, channel.bus)].push_back(
+        core::SplitSegment{0, c, std::move(data)});
+  }
+  core::PipelineResult result = pipeline.merge_morsel_partials(
+      engine, std::move(keyed), oracle.kb_rows, oracle.kpre_rows,
+      oracle.ks.size(), scan_failures.records());
+  result.ks = testref::ks_table(oracle);
+  EXPECT_TRUE(matches_oracle(result, oracle));
+  if (!config.keep_ks) result.ks = dataflow::Table();
+  return result;
+}
+
 /// Run the pipeline over `reader` in the given mode: Batch is the
 /// reference (see the header comment), every other mode the production
 /// Pipeline::run(engine, reader). The pipeline is constructed fresh per
-/// call so both runs see identical configuration. A reference run that
-/// ends clean is also checked against the oracle.
+/// call so both runs see identical configuration.
 inline RunOutcome run_mode(const signaldb::Catalog& catalog,
                            const colstore::ColumnarReader& reader,
                            core::PipelineConfig config, core::ExecMode mode,
                            dataflow::EngineConfig engine_config = {}) {
   config.exec_mode = mode;
-  const bool reference = mode == core::ExecMode::Batch;
-  const bool keep_ks = config.keep_ks;
-  if (reference) config.keep_ks = true;  // the oracle check reads K_s
   RunOutcome out;
   dataflow::Engine engine(engine_config);
   const core::Pipeline pipeline(catalog, std::move(config));
   try {
-    out.result = reference
+    out.result = mode == core::ExecMode::Batch
                      ? run_reference(engine, pipeline, reader, out.scan_stats)
                      : pipeline.run(engine, reader, &out.scan_stats);
     out.exit_code = out.result.failures.empty() ? 0 : 4;
@@ -196,16 +222,6 @@ inline RunOutcome run_mode(const signaldb::Catalog& catalog,
         out.exit_code = 1;
     }
   }
-  if (reference && !out.threw && out.result.failures.empty()) {
-    const testref::Options options{
-        .catalog = &catalog,
-        .skip_error_frames = pipeline.config().interpret.skip_error_frames,
-        .dedup_channels = pipeline.config().split.dedup_channels};
-    EXPECT_TRUE(matches_oracle(
-        out.result, testref::run_algorithm1(reader.read_trace(),
-                                            pipeline.urel(), options)));
-  }
-  if (reference && !keep_ks) out.result.ks = dataflow::Table();
   return out;
 }
 

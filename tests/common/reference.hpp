@@ -95,6 +95,9 @@ struct Result {
   std::size_t kb_rows = 0;
   std::size_t kpre_rows = 0;
   std::vector<Instance> ks;
+  /// Lines 7–8: one sequence per (s_id, b_id) in order of first
+  /// appearance, before e(·).
+  std::vector<Sequence> channels;
   /// Representatives after e(·), grouped per signal type: types in order
   /// of first appearance, channels of a type in order of first appearance.
   std::vector<Sequence> sequences;
@@ -273,7 +276,7 @@ inline Result run_algorithm1(const tracefile::Trace& trace,
   }
 
   // Lines 7–8: one sequence per (s_id, b_id), in first-appearance order.
-  std::vector<Sequence> channels;
+  std::vector<Sequence>& channels = result.channels;
   std::map<std::pair<std::string, std::string>, std::size_t> channel_of;
   for (const Instance& s : result.ks) {
     const auto [it, inserted] =

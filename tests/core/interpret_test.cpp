@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/schemas.hpp"
 #include "core/split.hpp"
 #include "core/urel.hpp"
 #include "test_fixtures.hpp"
 
+#include "../common/extract.hpp"
 #include "../common/reference.hpp"
 
 namespace ivt::core {
@@ -18,6 +20,9 @@ using testing::heater_record;
 using testing::kMs;
 using testing::wiper_catalog;
 using testing::wiper_record;
+
+using colstore::open_trace;
+using testexec::extract_ks;
 
 class InterpretTest : public ::testing::Test {
  protected:
@@ -46,11 +51,11 @@ TEST_F(InterpretTest, PreselectKeepsOnlyRelevantMessages) {
 
 TEST_F(InterpretTest, Fig2WiperExample) {
   // Paper Fig. 2: payload x5A x01 -> wpos 45°, wvel 1.
-  const auto kb = tracefile::to_kb_table(fig2_trace(), 1);
+  const auto reader = open_trace(fig2_trace());
   const auto urel = make_urel_table(catalog_, {"wpos", "wvel"});
   InterpretOptions options;
   options.catalog = &catalog_;
-  const auto ks = extract_signals(engine_, kb, urel, options);
+  const auto ks = extract_ks(engine_, reader, urel, options);
   ASSERT_EQ(ks.num_rows(), 4u);  // 2 messages x 2 signals
 
   const auto rows = ks.collect_rows();
@@ -80,11 +85,11 @@ TEST_F(InterpretTest, CategoricalValuesCarryLabels) {
   tracefile::Trace trace;
   trace.records.push_back(heater_record(0, 2));   // medium
   trace.records.push_back(heater_record(kMs, 14));  // snv (validity)
-  const auto kb = tracefile::to_kb_table(trace, 1);
+  const auto reader = open_trace(trace);
   const auto urel = make_urel_table(catalog_, {"heat"});
   InterpretOptions options;
   options.catalog = &catalog_;
-  const auto ks = extract_signals(engine_, kb, urel, options);
+  const auto ks = extract_ks(engine_, reader, urel, options);
   const auto rows = ks.collect_rows();
   ASSERT_EQ(rows.size(), 2u);
   const std::size_t vstr = ks.schema().require("v_str");
@@ -95,9 +100,9 @@ TEST_F(InterpretTest, CategoricalValuesCarryLabels) {
 TEST_F(InterpretTest, WithoutCatalogLabelsAreRaw) {
   tracefile::Trace trace;
   trace.records.push_back(heater_record(0, 2));
-  const auto kb = tracefile::to_kb_table(trace, 1);
+  const auto reader = open_trace(trace);
   const auto urel = make_urel_table(catalog_, {"heat"});
-  const auto ks = extract_signals(engine_, kb, urel, {});
+  const auto ks = extract_ks(engine_, reader, urel, {});
   const auto rows = ks.collect_rows();
   EXPECT_EQ(rows[0][ks.schema().require("v_str")], dataflow::Value{"raw:2"});
 }
@@ -108,14 +113,14 @@ TEST_F(InterpretTest, SkipErrorFramesOption) {
   bad.flags = tracefile::TraceRecord::kFlagErrorFrame;
   trace.records.push_back(bad);
   trace.records.push_back(wiper_record(kMs, 20.0, 1.0));
-  const auto kb = tracefile::to_kb_table(trace, 1);
+  const auto reader = open_trace(trace);
   const auto urel = make_urel_table(catalog_, {"wpos"});
   InterpretOptions options;
   options.catalog = &catalog_;
   options.skip_error_frames = true;
-  EXPECT_EQ(extract_signals(engine_, kb, urel, options).num_rows(), 1u);
+  EXPECT_EQ(extract_ks(engine_, reader, urel, options).num_rows(), 1u);
   options.skip_error_frames = false;
-  EXPECT_EQ(extract_signals(engine_, kb, urel, options).num_rows(), 2u);
+  EXPECT_EQ(extract_ks(engine_, reader, urel, options).num_rows(), 2u);
 }
 
 TEST_F(InterpretTest, MatchesReferenceOracle) {
@@ -152,14 +157,14 @@ TEST_F(InterpretTest, MatchesReferenceOracle) {
     }
   }
   const dataflow::Table urel = builder.build();
-  const auto kb = tracefile::to_kb_table(trace, 3);
+  const auto reader = open_trace(trace, {.chunk_rows = 16});
 
   for (const bool skip : {false, true}) {
     SCOPED_TRACE(skip ? "skip error frames" : "keep error frames");
     InterpretOptions options;
     options.catalog = &catalog_;
     options.skip_error_frames = skip;
-    const auto ks = extract_signals(engine_, kb, urel, options);
+    const auto ks = extract_ks(engine_, reader, urel, options);
     const testref::Result oracle = testref::run_algorithm1(
         trace, urel, {.catalog = &catalog_, .skip_error_frames = skip});
     EXPECT_EQ(ks.collect_rows(), testref::ks_table(oracle).collect_rows());
@@ -189,20 +194,20 @@ TEST_F(InterpretTest, TruncatedPayloadYieldsNoInstance) {
   rec.payload = {0x5A};  // too short for wpos (16 bits)
   tracefile::Trace trace;
   trace.records.push_back(rec);
-  const auto kb = tracefile::to_kb_table(trace, 1);
+  const auto reader = open_trace(trace);
   const auto urel = make_urel_table(catalog_, {"wpos"});
-  EXPECT_EQ(extract_signals(engine_, kb, urel, {}).num_rows(), 0u);
+  EXPECT_EQ(extract_ks(engine_, reader, urel, {}).num_rows(), 0u);
 }
 
 TEST_F(InterpretTest, GatewayDuplicateKeepsBusIdentity) {
   tracefile::Trace trace;
   trace.records.push_back(wiper_record(0, 45.0, 1.0, "FC"));
   trace.records.push_back(wiper_record(150'000, 45.0, 1.0, "KC"));
-  const auto kb = tracefile::to_kb_table(trace, 1);
+  const auto reader = open_trace(trace);
   // U_rel declares the wiper on FC only; the KC copy must not match the
   // join (different b_id).
   const auto urel = make_urel_table(catalog_, {"wpos"});
-  const auto ks = extract_signals(engine_, kb, urel, {});
+  const auto ks = extract_ks(engine_, reader, urel, {});
   EXPECT_EQ(ks.num_rows(), 1u);
 }
 
@@ -211,11 +216,11 @@ TEST_F(InterpretTest, RowCountScalesWithSignalsPerMessage) {
   for (int i = 0; i < 10; ++i) {
     trace.records.push_back(wiper_record(i * kMs, 1.0 * i, 2.0));
   }
-  const auto kb = tracefile::to_kb_table(trace, 2);
+  const auto reader = open_trace(trace, {.chunk_rows = 2});
   const auto one = make_urel_table(catalog_, {"wpos"});
   const auto two = make_urel_table(catalog_, {"wpos", "wvel"});
-  EXPECT_EQ(extract_signals(engine_, kb, one, {}).num_rows(), 10u);
-  EXPECT_EQ(extract_signals(engine_, kb, two, {}).num_rows(), 20u);
+  EXPECT_EQ(extract_ks(engine_, reader, one, {}).num_rows(), 10u);
+  EXPECT_EQ(extract_ks(engine_, reader, two, {}).num_rows(), 20u);
 }
 
 TEST_F(InterpretTest, DeterministicAcrossWorkerCounts) {
@@ -223,12 +228,12 @@ TEST_F(InterpretTest, DeterministicAcrossWorkerCounts) {
   for (int i = 0; i < 50; ++i) {
     trace.records.push_back(wiper_record(i * kMs, 2.0 * i, 1.0));
   }
-  const auto kb = tracefile::to_kb_table(trace, 7);
+  const auto reader = open_trace(trace, {.chunk_rows = 8});
   const auto urel = make_full_urel_table(catalog_);
   dataflow::Engine one{{.workers = 1}};
   dataflow::Engine eight{{.workers = 8}};
-  EXPECT_EQ(extract_signals(one, kb, urel, {}).collect_rows(),
-            extract_signals(eight, kb, urel, {}).collect_rows());
+  EXPECT_EQ(extract_ks(one, reader, urel, {}).collect_rows(),
+            extract_ks(eight, reader, urel, {}).collect_rows());
 }
 
 }  // namespace

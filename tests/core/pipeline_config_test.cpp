@@ -1,6 +1,7 @@
 // Coverage of the pipeline's configuration switches beyond the defaults.
 #include <gtest/gtest.h>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "test_fixtures.hpp"
 
@@ -36,8 +37,8 @@ TEST_F(PipelineConfigTest, ExtensionsOnRawSeeTrueSendGaps) {
   config.extensions = {gap_extension()};
   config.extensions_on_reduced = false;  // default
   const Pipeline pipeline(catalog_, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(repetitive_trace(), 4));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(repetitive_trace(), {.chunk_rows = 25}));
   // Raw sequence: 99 gaps of exactly 20 ms each.
   std::size_t gap_rows = 0;
   const auto& schema = result.krep.schema();
@@ -57,8 +58,8 @@ TEST_F(PipelineConfigTest, ExtensionsOnReducedSeeReducedGaps) {
   config.extensions = {gap_extension()};
   config.extensions_on_reduced = true;  // literal Algorithm 1 line 12
   const Pipeline pipeline(catalog_, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(repetitive_trace(), 4));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(repetitive_trace(), {.chunk_rows = 25}));
   // Reduced sequence: first, change point, last + cycle-violation-free
   // repeats removed -> far fewer gap elements, and one spanning ~1 s.
   std::size_t gap_rows = 0;
@@ -84,8 +85,8 @@ TEST_F(PipelineConfigTest, SkipErrorFramesPropagates) {
   config.signals = {"wpos"};
   config.interpret.skip_error_frames = true;
   const Pipeline pipeline(catalog_, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(trace, 4));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(trace, {.chunk_rows = 25}));
   EXPECT_EQ(result.ks_rows, 50u);  // half dropped
 }
 
@@ -94,8 +95,8 @@ TEST_F(PipelineConfigTest, NoConstraintsKeepsEverything) {
   config.signals = {"wpos"};
   config.constraints.clear();
   const Pipeline pipeline(catalog_, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(repetitive_trace(), 4));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(repetitive_trace(), {.chunk_rows = 25}));
   EXPECT_EQ(result.reduced_rows, result.ks_rows);
 }
 
@@ -111,7 +112,7 @@ TEST_F(PipelineConfigTest, MatchesReferenceOracle) {
   for (std::size_t i = 0; i < trace.records.size(); i += 7) {
     trace.records[i].flags = tracefile::TraceRecord::kFlagErrorFrame;
   }
-  const auto kb = tracefile::to_kb_table(trace, 4);
+  const auto reader = colstore::open_trace(trace, {.chunk_rows = 25});
   for (const bool skip : {false, true}) {
     SCOPED_TRACE(skip ? "skip error frames" : "keep error frames");
     PipelineConfig config;
@@ -122,7 +123,7 @@ TEST_F(PipelineConfigTest, MatchesReferenceOracle) {
         trace, pipeline.urel(),
         {.catalog = &catalog_, .skip_error_frames = skip});
     EXPECT_TRUE(
-        testdiff::matches_oracle(pipeline.run(engine_, kb), oracle));
+        testdiff::matches_oracle(pipeline.run(engine_, reader), oracle));
   }
 }
 
@@ -143,8 +144,8 @@ TEST_F(PipelineConfigTest, DocumentCycleTimeFeedsConstraints) {
   config.signals = {"wpos"};
   config.extensions = {cycle_violation_extension(1.5)};
   const Pipeline pipeline(catalog, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(trace, 2));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(trace, {.chunk_rows = 10}));
   std::size_t violations = 0;
   const std::size_t sid_col = result.krep.schema().require("s_id");
   result.krep.for_each_row([&](const dataflow::RowView& row) {
@@ -159,8 +160,8 @@ TEST_F(PipelineConfigTest, StateOptionsRespected) {
   config.extensions = {gap_extension()};
   config.state.include_extensions = false;
   const Pipeline pipeline(catalog_, config);
-  const auto result =
-      pipeline.run(engine_, tracefile::to_kb_table(repetitive_trace(), 4));
+  const auto result = pipeline.run(
+      engine_, colstore::open_trace(repetitive_trace(), {.chunk_rows = 25}));
   EXPECT_FALSE(result.state.schema().contains("wpos.gap"));
 }
 

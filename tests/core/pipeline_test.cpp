@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 
+#include "colstore/columnar_writer.hpp"
 #include "test_fixtures.hpp"
 
 namespace ivt::core {
@@ -52,8 +53,8 @@ TEST_F(PipelineTest, EndToEndProducesAllStages) {
   config.classifier.rate_threshold_hz = 5.0;
   config.extensions.push_back(cycle_violation_extension(1.5));
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 8);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 70});
+  const PipelineResult result = pipeline.run(engine_, reader);
 
   EXPECT_EQ(result.kb_rows, 560u);
   EXPECT_EQ(result.kpre_rows, 560u);  // all messages relevant
@@ -70,8 +71,8 @@ TEST_F(PipelineTest, BranchAssignmentsMatchSignalNature) {
   PipelineConfig config;
   config.classifier.rate_threshold_hz = 5.0;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
 
   std::map<std::string, Branch> branches;
   for (const SequenceReport& report : result.sequences) {
@@ -86,8 +87,8 @@ TEST_F(PipelineTest, SignalSelectionRestrictsWork) {
   PipelineConfig config;
   config.signals = {"wpos"};
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_EQ(result.kpre_rows, 500u);  // heater/belt messages preselected away
   EXPECT_EQ(result.ks_rows, 500u);
   EXPECT_EQ(result.sequences.size(), 1u);
@@ -103,8 +104,8 @@ TEST_F(PipelineTest, UnknownSignalNameThrowsAtConstruction) {
 TEST_F(PipelineTest, StateColumnsCoverSignals) {
   PipelineConfig config;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_TRUE(result.state.schema().contains("wpos"));
   EXPECT_TRUE(result.state.schema().contains("heat"));
   EXPECT_TRUE(result.state.schema().contains("belt"));
@@ -114,8 +115,8 @@ TEST_F(PipelineTest, KeepKsStoresTable) {
   PipelineConfig config;
   config.keep_ks = true;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_EQ(result.ks.num_rows(), result.ks_rows);
 }
 
@@ -123,8 +124,8 @@ TEST_F(PipelineTest, DisableStateSkipsIt) {
   PipelineConfig config;
   config.build_state = false;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_EQ(result.state.num_rows(), 0u);
   EXPECT_GT(result.krep_rows, 0u);
 }
@@ -132,18 +133,20 @@ TEST_F(PipelineTest, DisableStateSkipsIt) {
 TEST_F(PipelineTest, ExtractMatchesRunKsCount) {
   PipelineConfig config;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const auto ks = pipeline.extract(engine_, kb);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const MorselProcessor processor(reader, pipeline.urel(), pipeline.config(),
+                                  nullptr);
+  const auto ks = processor.extract_all(engine_);
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_EQ(ks.num_rows(), result.ks_rows);
 }
 
 TEST_F(PipelineTest, ExtractAndReduceMatchesRun) {
   PipelineConfig config;
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const auto reduced = pipeline.extract_and_reduce(engine_, kb);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const auto reduced = pipeline.extract_and_reduce(engine_, reader);
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_EQ(reduced.ks_rows, result.ks_rows);
   EXPECT_EQ(reduced.reduced_rows, result.reduced_rows);
   EXPECT_EQ(reduced.sequences.size(), result.sequences.size());
@@ -153,11 +156,11 @@ TEST_F(PipelineTest, DeterministicAcrossWorkerCounts) {
   PipelineConfig config;
   config.extensions.push_back(gap_extension());
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 8);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 70});
   dataflow::Engine one{{.workers = 1, .default_partitions = 4}};
   dataflow::Engine many{{.workers = 8, .default_partitions = 4}};
-  const PipelineResult a = pipeline.run(one, kb);
-  const PipelineResult b = pipeline.run(many, kb);
+  const PipelineResult a = pipeline.run(one, reader);
+  const PipelineResult b = pipeline.run(many, reader);
   EXPECT_EQ(a.krep.collect_rows(), b.krep.collect_rows());
   EXPECT_EQ(a.state.collect_rows(), b.state.collect_rows());
 }
@@ -177,8 +180,8 @@ TEST_F(PipelineTest, GatewayDuplicatesDeduplicated) {
   PipelineConfig config;
   config.signals = {"wpos"};
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(trace, 2);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(trace, {.chunk_rows = 10});
+  const PipelineResult result = pipeline.run(engine_, reader);
   EXPECT_TRUE(result.correspondences.empty());
   EXPECT_EQ(result.sequences.size(), 1u);
 }
@@ -187,8 +190,8 @@ TEST_F(PipelineTest, ReportsCountOutliersAndExtensions) {
   PipelineConfig config;
   config.extensions.push_back(gap_extension());
   const Pipeline pipeline(catalog_, config);
-  const auto kb = tracefile::to_kb_table(rich_trace(), 4);
-  const PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader = colstore::open_trace(rich_trace(), {.chunk_rows = 140});
+  const PipelineResult result = pipeline.run(engine_, reader);
   for (const SequenceReport& report : result.sequences) {
     EXPECT_GT(report.input_rows, 0u);
     EXPECT_GT(report.extension_rows, 0u);  // gap rule applies everywhere

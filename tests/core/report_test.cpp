@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "colstore/columnar_writer.hpp"
 #include "test_fixtures.hpp"
 
 namespace ivt::core {
@@ -21,7 +22,8 @@ PipelineResult sample_result() {
   config.extensions.push_back(gap_extension());
   const Pipeline pipeline(catalog, config);
   dataflow::Engine engine{{.workers = 2}};
-  return pipeline.run(engine, tracefile::to_kb_table(trace, 4));
+  return pipeline.run(engine,
+                      colstore::open_trace(trace, {.chunk_rows = 8}));
 }
 
 TEST(ReportTest, SummaryLineContainsStageCounts) {

@@ -2,52 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/schemas.hpp"
-#include "test_fixtures.hpp"
-
 namespace ivt::core {
 namespace {
-
-using testing::KsRow;
-using testing::make_ks;
-
-SignalSequence sample_sequence() {
-  return SignalSequence{
-      "sig", "FC",
-      make_ks({
-          {0, "sig", 1.5, true, "", false},
-          {10, "sig", 0.0, false, "label", true},
-          {20, "sig", 2.5, true, "both", true},
-      })};
-}
-
-TEST(SequenceTest, MaterializeCapturesAllFields) {
-  const SequenceData d = materialize_sequence(sample_sequence());
-  EXPECT_EQ(d.s_id, "sig");
-  EXPECT_EQ(d.bus, "FC");
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_EQ(d.t, (std::vector<std::int64_t>{0, 10, 20}));
-  EXPECT_EQ(d.has_num, (std::vector<std::uint8_t>{1, 0, 1}));
-  EXPECT_EQ(d.has_str, (std::vector<std::uint8_t>{0, 1, 1}));
-  EXPECT_DOUBLE_EQ(d.v_num[0], 1.5);
-  EXPECT_EQ(d.v_str[1], "label");
-}
-
-TEST(SequenceTest, RoundTripThroughTable) {
-  const SignalSequence seq = sample_sequence();
-  const SequenceData d = materialize_sequence(seq);
-  const dataflow::Table back = sequence_to_table(d);
-  EXPECT_EQ(back.collect_rows(), seq.table.collect_rows());
-}
-
-TEST(SequenceTest, SelectiveRebuild) {
-  const SequenceData d = materialize_sequence(sample_sequence());
-  const dataflow::Table back = sequence_to_table(d, {0, 2});
-  ASSERT_EQ(back.num_rows(), 2u);
-  const auto rows = back.collect_rows();
-  EXPECT_EQ(rows[0][0], dataflow::Value{std::int64_t{0}});
-  EXPECT_EQ(rows[1][0], dataflow::Value{std::int64_t{20}});
-}
 
 TEST(SequenceTest, DurationSeconds) {
   SequenceData d;
@@ -56,13 +12,6 @@ TEST(SequenceTest, DurationSeconds) {
   EXPECT_DOUBLE_EQ(d.duration_s(), 0.0);
   d.t = {0, 2'000'000'000};
   EXPECT_DOUBLE_EQ(d.duration_s(), 2.0);
-}
-
-TEST(SequenceTest, EmptySequenceRoundTrip) {
-  SignalSequence seq{"x", "FC", make_ks({})};
-  const SequenceData d = materialize_sequence(seq);
-  EXPECT_TRUE(d.empty());
-  EXPECT_EQ(sequence_to_table(d).num_rows(), 0u);
 }
 
 }  // namespace

@@ -21,10 +21,10 @@ TEST(SplitTest, OneSequencePerSignalType) {
       {1, "b", 2.0, true, "", false},
       {2, "a", 3.0, true, "", false},
   });
-  const SplitResult result = split_signals(engine(), ks);
+  const SplitDataResult result = split_signals_data(engine(), ks);
   ASSERT_EQ(result.sequences.size(), 2u);
   EXPECT_EQ(result.sequences[0].s_id, "a");
-  EXPECT_EQ(result.sequences[0].table.num_rows(), 2u);
+  EXPECT_EQ(result.sequences[0].size(), 2u);
   EXPECT_EQ(result.sequences[1].s_id, "b");
 }
 
@@ -33,7 +33,7 @@ TEST(SplitTest, OrderIsFirstAppearance) {
       {0, "z", 1.0, true, "", false},
       {1, "a", 2.0, true, "", false},
   });
-  const SplitResult result = split_signals(engine(), ks);
+  const SplitDataResult result = split_signals_data(engine(), ks);
   EXPECT_EQ(result.sequences[0].s_id, "z");
   EXPECT_EQ(result.sequences[1].s_id, "a");
 }
@@ -142,7 +142,7 @@ TEST(SplitTest, StringValuesCompared) {
 
 TEST(SplitTest, EmptyInput) {
   const auto ks = make_ks({});
-  const SplitResult result = split_signals(engine(), ks);
+  const SplitDataResult result = split_signals_data(engine(), ks);
   EXPECT_TRUE(result.sequences.empty());
   EXPECT_TRUE(result.correspondences.empty());
 }

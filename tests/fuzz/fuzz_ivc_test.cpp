@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,15 +58,6 @@ tracefile::Trace small_trace(std::uint64_t seed, std::size_t n) {
   return trace;
 }
 
-std::string pack(const tracefile::Trace& trace, std::size_t chunk_rows) {
-  std::ostringstream out(std::ios::binary);
-  colstore::ColumnarWriter writer(out, trace.vehicle, trace.journey, 0,
-                                  {.chunk_rows = chunk_rows});
-  for (const auto& rec : trace.records) writer.write(rec);
-  writer.finish();
-  return out.str();
-}
-
 /// The whole decoder surface one image can reach. Returns false (with a
 /// recorded failure) when anything other than errors::Error escapes.
 bool exercise(std::string image, const std::string& repro) {
@@ -104,9 +94,12 @@ bool exercise(std::string image, const std::string& repro) {
 
 TEST(FuzzIvcTest, MutatedImagesNeverEscapeTypedErrors) {
   const std::vector<std::string> bases = {
-      pack(small_trace(1, 120), 16),  // multi-chunk, busy
-      pack(small_trace(2, 33), 1),    // single-row chunks
-      pack(small_trace(3, 0), 8),     // empty trace (footer-heavy image)
+      // multi-chunk, busy
+      colstore::pack_trace(small_trace(1, 120), {.chunk_rows = 16}),
+      // single-row chunks
+      colstore::pack_trace(small_trace(2, 33), {.chunk_rows = 1}),
+      // empty trace (footer-heavy image)
+      colstore::pack_trace(small_trace(3, 0), {.chunk_rows = 8}),
   };
   constexpr std::uint64_t kIterations = 400;
   for (std::size_t b = 0; b < bases.size(); ++b) {
@@ -123,7 +116,8 @@ TEST(FuzzIvcTest, MutatedImagesNeverEscapeTypedErrors) {
 // whichever scan mode evaluates it — the directory entry it is checked
 // against is still good.
 TEST(FuzzIvcTest, MutatedChunkExtentsNeverEscapeTypedErrors) {
-  const std::string image = pack(small_trace(7, 150), 32);
+  const std::string image =
+      colstore::pack_trace(small_trace(7, 150), {.chunk_rows = 32});
   const colstore::ColumnarReader reader =
       colstore::ColumnarReader::from_buffer(std::string(image));
   ASSERT_GE(reader.num_chunks(), 2u);
@@ -165,7 +159,8 @@ TEST(FuzzIvcTest, MutatedChunkExtentsNeverEscapeTypedErrors) {
 // regression that rejects valid data cannot hide behind "typed error is
 // an accepted outcome".
 TEST(FuzzIvcTest, UnmutatedImagesDecodeCleanly) {
-  const std::string image = pack(small_trace(11, 90), 16);
+  const std::string image =
+      colstore::pack_trace(small_trace(11, 90), {.chunk_rows = 16});
   const colstore::ColumnarReader reader =
       colstore::ColumnarReader::from_buffer(std::string(image));
   for (const ScanMode mode : {ScanMode::Decoded, ScanMode::Compressed}) {

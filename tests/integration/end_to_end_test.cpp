@@ -11,6 +11,7 @@
 #include "apps/association_rules.hpp"
 #include "apps/transition_graph.hpp"
 #include "baseline/inhouse_tool.hpp"
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "simnet/datasets.hpp"
 #include "tracefile/binary_format.hpp"
@@ -54,8 +55,9 @@ TEST_F(EndToEndTest, PipelineBranchMixMatchesTable5Spec) {
   core::PipelineConfig config;
   config.classifier.rate_threshold_hz = plan_->recommended_rate_threshold_hz;
   const core::Pipeline pipeline(dataset_->catalog, config);
-  const auto kb = tracefile::to_kb_table(dataset_->trace, 8);
-  const core::PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader =
+      colstore::open_trace(dataset_->trace, {.chunk_rows = 256});
+  const core::PipelineResult result = pipeline.run(engine_, reader);
 
   std::size_t alpha = 0;
   std::size_t beta = 0;
@@ -85,8 +87,9 @@ TEST_F(EndToEndTest, ReductionRemovesRedundancyButKeepsChanges) {
   core::PipelineConfig config;
   config.classifier.rate_threshold_hz = plan_->recommended_rate_threshold_hz;
   const core::Pipeline pipeline(dataset_->catalog, config);
-  const auto kb = tracefile::to_kb_table(dataset_->trace, 8);
-  const auto reduced = pipeline.extract_and_reduce(engine_, kb);
+  const auto reader =
+      colstore::open_trace(dataset_->trace, {.chunk_rows = 256});
+  const auto reduced = pipeline.extract_and_reduce(engine_, reader);
   EXPECT_GT(reduced.ks_rows, 0u);
   EXPECT_LT(reduced.reduced_rows, reduced.ks_rows);
   EXPECT_GT(reduced.reduced_rows, reduced.ks_rows / 100);
@@ -95,8 +98,9 @@ TEST_F(EndToEndTest, ReductionRemovesRedundancyButKeepsChanges) {
 TEST_F(EndToEndTest, GatewayCorrespondencesFound) {
   core::PipelineConfig config;
   const core::Pipeline pipeline(dataset_->catalog, config);
-  const auto kb = tracefile::to_kb_table(dataset_->trace, 8);
-  const auto reduced = pipeline.extract_and_reduce(engine_, kb);
+  const auto reader =
+      colstore::open_trace(dataset_->trace, {.chunk_rows = 256});
+  const auto reduced = pipeline.extract_and_reduce(engine_, reader);
   // The SYN plan routes some FC messages through a gateway, but U_rel only
   // documents the origin bus, so the duplicates are filtered by
   // preselection — no correspondences expected here. Force dedup coverage
@@ -111,12 +115,13 @@ TEST_F(EndToEndTest, GatewayCorrespondencesFound) {
 TEST_F(EndToEndTest, BaselineAgreesWithPipelineOnValues) {
   // Pick one α signal and compare pipeline K_s values to the baseline
   // tool's decoded store.
-  const auto kb = tracefile::to_kb_table(dataset_->trace, 8);
+  const auto reader =
+      colstore::open_trace(dataset_->trace, {.chunk_rows = 256});
   core::PipelineConfig config;
   config.keep_ks = true;
   config.constraints.clear();  // no reduction: want raw values
   const core::Pipeline pipeline(dataset_->catalog, config);
-  const core::PipelineResult result = pipeline.run(engine_, kb);
+  const core::PipelineResult result = pipeline.run(engine_, reader);
 
   baseline::InHouseTool tool(dataset_->catalog);
   tool.ingest(dataset_->trace);
@@ -147,8 +152,9 @@ TEST_F(EndToEndTest, ApplicationsRunOnPipelineOutput) {
   config.classifier.rate_threshold_hz = plan_->recommended_rate_threshold_hz;
   config.extensions.push_back(core::cycle_violation_extension(2.0));
   const core::Pipeline pipeline(dataset_->catalog, config);
-  const auto kb = tracefile::to_kb_table(dataset_->trace, 8);
-  const core::PipelineResult result = pipeline.run(engine_, kb);
+  const auto reader =
+      colstore::open_trace(dataset_->trace, {.chunk_rows = 256});
+  const core::PipelineResult result = pipeline.run(engine_, reader);
 
   // Element anomalies: the simulator injects outliers and dropouts, the
   // pipeline must surface them.
@@ -199,8 +205,10 @@ TEST_F(EndToEndTest, DeterministicEndToEnd) {
   core::PipelineConfig pconfig;
   const core::Pipeline pa(a.catalog, pconfig);
   const core::Pipeline pb(b.catalog, pconfig);
-  const auto ra = pa.run(engine_, tracefile::to_kb_table(a.trace, 8));
-  const auto rb = pb.run(engine_, tracefile::to_kb_table(b.trace, 8));
+  const auto ra =
+      pa.run(engine_, colstore::open_trace(a.trace, {.chunk_rows = 64}));
+  const auto rb =
+      pb.run(engine_, colstore::open_trace(b.trace, {.chunk_rows = 64}));
   EXPECT_EQ(ra.krep.collect_rows(), rb.krep.collect_rows());
   EXPECT_EQ(ra.state.collect_rows(), rb.state.collect_rows());
 }

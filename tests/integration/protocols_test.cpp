@@ -3,6 +3,7 @@
 // and FlexRay, mixed in one trace.
 #include <gtest/gtest.h>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "signaldb/catalog.hpp"
 #include "tracefile/trace.hpp"
@@ -180,7 +181,7 @@ TEST(ProtocolsIntegrationTest, AllProtocolsFlowThroughThePipeline) {
   const core::Pipeline pipeline(catalog, config);
   dataflow::Engine engine{{.workers = 2, .default_partitions = 4}};
   const core::PipelineResult result =
-      pipeline.run(engine, tracefile::to_kb_table(trace, 4));
+      pipeline.run(engine, colstore::open_trace(trace, {.chunk_rows = 64}));
 
   ASSERT_EQ(result.sequences.size(), 5u);
   std::map<std::string, const core::SequenceReport*> by_name;
@@ -226,7 +227,7 @@ TEST(ProtocolsIntegrationTest, Float32ValuesDecodeExactly) {
   const core::Pipeline pipeline(catalog, config);
   dataflow::Engine engine{{.workers = 2}};
   const core::PipelineResult result =
-      pipeline.run(engine, tracefile::to_kb_table(trace, 4));
+      pipeline.run(engine, colstore::open_trace(trace, {.chunk_rows = 64}));
   const std::size_t sid_col = result.ks.schema().require("s_id");
   const std::size_t num_col = result.ks.schema().require("v_num");
   result.ks.for_each_row([&](const dataflow::RowView& row) {

@@ -199,15 +199,39 @@ TEST_F(StreamingFaultTest, SequenceFaultsDegradeStreamingRunToExit4) {
   EXPECT_GT(report.at("krep_rows").number(), 0.0);
 }
 
-TEST_F(StreamingFaultTest, StreamingOnRowTraceIsUsageError) {
+// Dist workers open the trace by path, so dist over a row-oriented .ivt
+// trace is still a usage error that says how to pack it.
+TEST_F(StreamingFaultTest, DistOnRowTraceIsUsageError) {
   ::testing::internal::CaptureStderr();
   const int rc =
       run({"run", "--trace", (*prefix_ + "_J1.ivt").c_str(), "--catalog",
-           catalog_path().c_str(), "--exec", "streaming"});
+           catalog_path().c_str(), "--exec", "dist"});
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("requires a columnar .ivc trace"), std::string::npos)
       << err;
+  EXPECT_NE(err.find("ivt pack"), std::string::npos) << err;
+}
+
+// Streaming names the same executor as batch on every input.
+TEST_F(StreamingFaultTest, StreamingOnRowTraceMatchesBatch) {
+  const std::string trace = *prefix_ + "_J1.ivt";
+  const std::string batch = ::testing::TempDir() + "/sfault_batch_state.csv";
+  const std::string streaming =
+      ::testing::TempDir() + "/sfault_streaming_state.csv";
+  ::testing::internal::CaptureStdout();
+  const int batch_rc = run({"run", "--trace", trace.c_str(), "--catalog",
+                            catalog_path().c_str(), "--state", batch.c_str()});
+  const int streaming_rc =
+      run({"run", "--trace", trace.c_str(), "--catalog",
+           catalog_path().c_str(), "--exec", "streaming", "--state",
+           streaming.c_str()});
+  (void)::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(batch_rc, 0);
+  EXPECT_EQ(streaming_rc, 0);
+  const std::string state = slurp(batch);
+  EXPECT_FALSE(state.empty());
+  EXPECT_EQ(slurp(streaming), state);
 }
 
 TEST_F(StreamingFaultTest, BadExecValueIsUsageError) {

@@ -8,11 +8,13 @@
 #include <cmath>
 #include <random>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/interpret.hpp"
 #include "core/urel.hpp"
 #include "signaldb/catalog.hpp"
 #include "tracefile/trace.hpp"
 
+#include "../common/extract.hpp"
 #include "../common/reference.hpp"
 
 namespace ivt {
@@ -109,11 +111,11 @@ TEST_P(CodecStackPropertyTest, EncodeDecodeAgreesAcrossBothPaths) {
 
   // Path (b): the pipeline's tabular interpretation.
   dataflow::Engine engine{{.workers = 2, .default_partitions = 4}};
-  const auto kb = tracefile::to_kb_table(trace, 4);
+  const auto reader = colstore::open_trace(trace, {.chunk_rows = 16});
   const auto urel = core::make_full_urel_table(vehicle.catalog);
   core::InterpretOptions options;
   options.catalog = &vehicle.catalog;
-  const auto ks = core::extract_signals(engine, kb, urel, options);
+  const auto ks = testexec::extract_ks(engine, reader, urel, options);
   ASSERT_EQ(ks.num_rows(), 50 * message.signals.size());
 
   std::map<std::string, std::vector<double>> by_signal;
@@ -148,14 +150,15 @@ TEST_P(CodecStackPropertyTest, InterpretationMatchesReferenceOracle) {
     trace.records.push_back(std::move(rec));
   }
   dataflow::Engine engine{{.workers = 2, .default_partitions = 4}};
-  const auto kb = tracefile::to_kb_table(trace, 4);
+  const auto reader = colstore::open_trace(trace, {.chunk_rows = 8});
   const auto urel = core::make_full_urel_table(vehicle.catalog);
   core::InterpretOptions options;
   options.catalog = &vehicle.catalog;
   const testref::Result oracle =
       testref::run_algorithm1(trace, urel, {.catalog = &vehicle.catalog});
-  EXPECT_EQ(core::extract_signals(engine, kb, urel, options).collect_rows(),
-            testref::ks_table(oracle).collect_rows());
+  EXPECT_EQ(
+      testexec::extract_ks(engine, reader, urel, options).collect_rows(),
+      testref::ks_table(oracle).collect_rows());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecStackPropertyTest,

@@ -8,7 +8,6 @@
 
 #include <random>
 #include <set>
-#include <sstream>
 
 #include "colstore/columnar_reader.hpp"
 #include "colstore/columnar_writer.hpp"
@@ -129,15 +128,8 @@ TEST_P(ColstoreRoundTripPropertyTest, RandomPredicateEqualsReferenceFilter) {
 
 TEST_P(ColstoreRoundTripPropertyTest, TruncatedImageThrows) {
   if (trace_.records.empty()) return;
-  std::ostringstream out(std::ios::binary);
-  {
-    colstore::ColumnarWriter writer(out, trace_.vehicle, trace_.journey,
-                                    trace_.start_unix_ns,
-                                    {.chunk_rows = chunk_rows_});
-    for (const auto& rec : trace_.records) writer.write(rec);
-    writer.finish();
-  }
-  std::string data = out.str();
+  std::string data =
+      colstore::pack_trace(trace_, {.chunk_rows = chunk_rows_});
   data.resize(data.size() * 2 / 3);
   EXPECT_THROW(colstore::ColumnarReader::from_buffer(std::move(data)),
                std::runtime_error);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,17 +56,6 @@ tracefile::Trace bursty_trace(std::uint64_t seed) {
     }
   }
   return trace;
-}
-
-std::string pack_to_buffer(const tracefile::Trace& trace,
-                           std::size_t chunk_rows) {
-  std::ostringstream out(std::ios::binary);
-  colstore::ColumnarWriter writer(out, trace.vehicle, trace.journey,
-                                  trace.start_unix_ns,
-                                  {.chunk_rows = chunk_rows});
-  for (const auto& rec : trace.records) writer.write(rec);
-  writer.finish();
-  return out.str();
 }
 
 /// The predicate shapes the compressed path must get right: run-constant
@@ -134,8 +122,7 @@ TEST_P(CompressedScanPropertyTest, CompressedEqualsDecodedRowForRow) {
        {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{64}}) {
     SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
     const colstore::ColumnarReader reader =
-        colstore::ColumnarReader::from_buffer(
-            pack_to_buffer(trace, chunk_rows));
+        colstore::open_trace(trace, {.chunk_rows = chunk_rows});
     ASSERT_EQ(reader.version(), colstore::kColumnarFormatVersion);
     std::size_t pred_index = 0;
     for (const ScanPredicate& pred : predicate_suite(trace, rng)) {
@@ -171,8 +158,7 @@ TEST_P(CompressedScanPropertyTest, EmittedRunsTilePartitionsAndMatchDict) {
                                        std::size_t{64}}) {
     SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
     const colstore::ColumnarReader reader =
-        colstore::ColumnarReader::from_buffer(
-            pack_to_buffer(trace, chunk_rows));
+        colstore::open_trace(trace, {.chunk_rows = chunk_rows});
     const auto& dict = reader.key_dict();
     const auto& buses = reader.bus_names();
     for (const ScanPredicate& pred : predicate_suite(trace, rng)) {
@@ -216,7 +202,7 @@ TEST_P(CompressedScanPropertyTest, EmittedRunsTilePartitionsAndMatchDict) {
 TEST_P(CompressedScanPropertyTest, DecodedModeReportsNoRuns) {
   const tracefile::Trace trace = bursty_trace(GetParam());
   const colstore::ColumnarReader reader =
-      colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 16));
+      colstore::open_trace(trace, {.chunk_rows = 16});
   const colstore::ChunkCursor cursor =
       reader.cursor({}, {.mode = ScanMode::Decoded});
   EXPECT_FALSE(cursor.compressed());
@@ -249,7 +235,7 @@ TEST(CompressedScanEdgeTest, AllEqualTraceIsOneRunPerChunk) {
     trace.records.push_back(std::move(rec));
   }
   const colstore::ColumnarReader reader =
-      colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 10));
+      colstore::open_trace(trace, {.chunk_rows = 10});
 
   ScanPredicate hit;
   hit.message_ids = {0x42};
@@ -288,7 +274,7 @@ TEST(CompressedScanEdgeTest, TimeRangeSplitsAcceptedRuns) {
     trace.records.push_back(std::move(rec));
   }
   const colstore::ColumnarReader reader =
-      colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 25));
+      colstore::open_trace(trace, {.chunk_rows = 25});
   ScanPredicate pred;
   pred.has_time_range = true;
   pred.min_t_ns = 24'000;
@@ -306,7 +292,7 @@ TEST(CompressedScanEdgeTest, EmptyTraceBothModesEmpty) {
   trace.vehicle = "V";
   trace.journey = "J";
   const colstore::ColumnarReader reader =
-      colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 8));
+      colstore::open_trace(trace, {.chunk_rows = 8});
   for (const ScanMode mode : {ScanMode::Decoded, ScanMode::Compressed}) {
     ScanStats stats;
     EXPECT_EQ(reader.scan({}, ScanOptions{.mode = mode}, &stats).num_rows(),
@@ -319,7 +305,7 @@ TEST(CompressedScanEdgeTest, SingleRowChunksEveryRunIsOneRow) {
   const tracefile::Trace trace = bursty_trace(99);
   if (trace.records.empty()) GTEST_SKIP();
   const colstore::ColumnarReader reader =
-      colstore::ColumnarReader::from_buffer(pack_to_buffer(trace, 1));
+      colstore::open_trace(trace, {.chunk_rows = 1});
   ScanStats stats;
   const dataflow::Table compressed = reader.scan(
       {}, ScanOptions{.mode = ScanMode::Compressed}, &stats);

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "colstore/columnar_writer.hpp"
 #include "core/pipeline.hpp"
 #include "core/schemas.hpp"
 #include "simnet/datasets.hpp"
@@ -44,8 +45,8 @@ class PipelinePropertyTest : public ::testing::TestWithParam<const char*> {
       pconfig.extensions.push_back(core::cycle_violation_extension(1.5));
       const core::Pipeline pipeline(p.dataset.catalog, pconfig);
       dataflow::Engine engine{{.workers = 4, .default_partitions = 8}};
-      p.result =
-          pipeline.run(engine, tracefile::to_kb_table(p.dataset.trace, 8));
+      p.result = pipeline.run(
+          engine, colstore::open_trace(p.dataset.trace, {.chunk_rows = 1024}));
       it = cache.emplace(name, std::move(p)).first;
     }
     return it->second;

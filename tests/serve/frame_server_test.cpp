@@ -1,15 +1,21 @@
 // serve::FrameServer, the IVQ1 server layer under both `ivt serve` and
 // the dist coordinator, driven with a stub handler over real sockets:
 // frames are answered in order on their own connection, a port that is
-// taken is a typed Io error (the CLI's exit code 5), and stop() answers
-// the request being handled before it closes that connection.
+// taken is a typed Io error (the CLI's exit code 5), stop() answers the
+// request being handled before it closes that connection, and running
+// out of descriptors does not stop the listener.
 #include "serve/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,6 +114,57 @@ TEST(FrameServerTest, StopAnswersTheRequestInFlightThenClosesConnections) {
   // The idle connection was shut down, and nothing listens any more.
   EXPECT_THROW(idle.request_raw(Frame{"late", {}}), errors::Error);
   EXPECT_THROW(Client("127.0.0.1", server.port()), errors::Error);
+}
+
+// A daemon that runs out of descriptors keeps its listener: once
+// connections end, it accepts again. The server runs in a child process
+// whose own RLIMIT_NOFILE is lowered, so only the daemon runs short.
+TEST(FrameServerTest, KeepsAcceptingAfterRunningOutOfDescriptors) {
+  int port_pipe[2];
+  ASSERT_EQ(::pipe(port_pipe), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(port_pipe[0]);
+    const rlimit limit{32, 32};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(2);
+    FrameServer server("127.0.0.1", 0, test_connections(), reverse);
+    server.start();
+    const std::uint16_t port = server.port();
+    if (::write(port_pipe[1], &port, sizeof(port)) != sizeof(port)) {
+      ::_exit(3);
+    }
+    for (;;) ::pause();  // until the parent kills it
+  }
+  ::close(port_pipe[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(port_pipe[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  ::close(port_pipe[0]);
+
+  // More connections than the daemon has descriptors for: it accepts
+  // until accept() fails with EMFILE, the rest wait in the backlog.
+  constexpr int kTimeoutMs = 2000;
+  {
+    std::vector<std::unique_ptr<Client>> crowd;
+    for (int i = 0; i < 60; ++i) {
+      crowd.push_back(std::make_unique<Client>("127.0.0.1", port, kTimeoutMs));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }  // all closed
+
+  bool answered = false;
+  try {
+    Client fresh("127.0.0.1", port, kTimeoutMs);
+    answered = fresh.request_raw(Frame{"ping", {}}).json ==
+               R"({"ok":true,"echo":"ping"})";
+  } catch (const errors::Error& e) {
+    ADD_FAILURE() << "fresh ping failed: " << e.describe();
+  }
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ::waitpid(child, &status, 0);
+  EXPECT_TRUE(answered);
 }
 
 }  // namespace

@@ -148,29 +148,25 @@ TEST_F(ServerTest, StateMatchesBatchPipeline) {
   ASSERT_TRUE(served.ok()) << served.error_message();
   EXPECT_GT(served.body.get_int("rows", 0), 0);
 
-  // The batch path the CLI takes: columnar scan, then Algorithm 1 with
-  // default parameters. The served result must be byte-identical.
+  // What `ivt run` computes over the same file with default parameters.
+  // The served result must be byte-identical.
   dataflow::Engine engine = inline_engine();
   const colstore::ColumnarReader reader(*ivc_path_);
-  const dataflow::Table kb =
-      reader.scan({}, engine, colstore::ScanOptions{});
   const core::Pipeline pipeline(dataset_->catalog, core::PipelineConfig{});
-  const core::PipelineResult batch = pipeline.run(engine, kb);
+  const core::PipelineResult batch = pipeline.run(engine, reader);
   EXPECT_EQ(served.payload, render_csv(batch.state));
 }
 
 // A cold state build runs the same morsel executor as `ivt run`, over the
 // cached chunk extents: under --scan compressed it takes the run-level
 // path and its key-run counters reach the stats op; under --scan decoded
-// there are none. Both serve the whole-table reference state byte for
-// byte.
+// there are none. Both serve the `ivt run` state byte for byte.
 TEST_F(ServerTest, StateScanModesReportRunCountersAndMatchReference) {
   dataflow::Engine engine = inline_engine();
   const colstore::ColumnarReader reader(*ivc_path_);
-  const dataflow::Table kb =
-      reader.scan({}, engine, colstore::ScanOptions{});
   const core::Pipeline pipeline(dataset_->catalog, core::PipelineConfig{});
-  const std::string reference = render_csv(pipeline.run(engine, kb).state);
+  const std::string reference =
+      render_csv(pipeline.run(engine, reader).state);
 
   for (const colstore::ScanMode mode :
        {colstore::ScanMode::Compressed, colstore::ScanMode::Decoded}) {

@@ -41,15 +41,21 @@ TEST(LockRankTest, InOrderAcquisitionSucceeds) {
 }
 
 TEST(LockRankTest, UnrankedLocksAreExemptInEitherDirection) {
-  Mutex ranked{LockRank::k_obs_Registry_mutex_};
-  Mutex scratch;  // kUnranked
+  // One ranked/unranked pair per direction, so no two mutexes are ever
+  // nested both ways (ThreadSanitizer's deadlock detector would report
+  // that as a lock-order inversion). All four stay alive together: a
+  // later pair on a reused stack address could alias an earlier one.
+  Mutex ranked_first{LockRank::k_obs_Registry_mutex_};
+  Mutex scratch_second;  // kUnranked
+  Mutex scratch_first;   // kUnranked
+  Mutex ranked_second{LockRank::k_obs_Registry_mutex_};
   {
-    const MutexLock l1(ranked);
-    const MutexLock l2(scratch);
+    const MutexLock l1(ranked_first);
+    const MutexLock l2(scratch_second);
   }
   {
-    const MutexLock l1(scratch);
-    const MutexLock l2(ranked);
+    const MutexLock l1(scratch_first);
+    const MutexLock l2(ranked_second);
   }
 }
 
