@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -430,27 +429,13 @@ dataflow::Table ColumnarReader::scan(const ScanPredicate& pred,
                                      dataflow::Engine& engine,
                                      const ScanOptions& options,
                                      ScanStats* stats) const {
-  ScanStats local;
-  const auto start = std::chrono::steady_clock::now();
-  dataflow::Table table = scan_with_runner(
+  return scan_with_runner(
       pred,
       [&engine](std::size_t n,
                 const std::function<void(std::size_t)>& task) {
         engine.parallel_for(n, task);
       },
-      options, &local);
-  dataflow::StageMetrics metrics;
-  metrics.name = "colstore_scan";
-  metrics.tasks = local.chunks_scanned;
-  metrics.input_rows = local.rows_considered;
-  metrics.output_rows = local.rows_emitted;
-  metrics.wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  engine.record_stage(std::move(metrics));
-  if (stats != nullptr) *stats = local;
-  return table;
+      options, stats);
 }
 
 tracefile::Trace ColumnarReader::read_trace() const {

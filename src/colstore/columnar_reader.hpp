@@ -84,8 +84,7 @@ class ColumnarReader {
                                      const ScanOptions& options,
                                      ScanStats* stats = nullptr) const;
 
-  /// Same, decoding on the engine's worker pool; records a
-  /// "colstore_scan" stage in the engine metrics.
+  /// Same, decoding on the engine's worker pool.
   [[nodiscard]] dataflow::Table scan(const ScanPredicate& pred,
                                      dataflow::Engine& engine,
                                      ScanStats* stats = nullptr) const;

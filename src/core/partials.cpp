@@ -1,7 +1,6 @@
 #include "core/partials.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "core/pipeline.hpp"
@@ -10,19 +9,6 @@
 #include "tracefile/trace.hpp"
 
 namespace ivt::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t elapsed_ns(Clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           since)
-          .count());
-}
-
-}  // namespace
 
 void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial) {
   for (KeySegment& seg : partial.segments) {
@@ -77,18 +63,20 @@ MorselProcessor::MorselProcessor(const colstore::ColumnarReader& reader,
                                  const PipelineConfig& config,
                                  errors::FailureLog* failures)
     : MorselProcessor(reader.source(), urel_scan_predicate(urel), urel,
-                      config, failures) {}
+                      config, failures, {}) {}
 
 MorselProcessor::MorselProcessor(const colstore::ChunkSource& source,
                                  const colstore::ScanPredicate& pred,
                                  const dataflow::Table& urel,
                                  const PipelineConfig& config,
-                                 errors::FailureLog* failures)
+                                 errors::FailureLog* failures,
+                                 MorselClock clock)
     : cursor_(source, pred,
               colstore::ScanOptions{.on_error = config.on_error,
                                     .failures = failures,
                                     .mode = config.scan_mode}),
-      kernel_(urel, config.interpret) {
+      kernel_(urel, config.interpret),
+      clock_(clock) {
   if (cursor_.compressed()) {
     key_table_ = kernel_.prepare_keys(cursor_.footer().key_dict,
                                       cursor_.footer().buses);
@@ -100,23 +88,20 @@ dataflow::Partition MorselProcessor::extract(std::size_t k,
   // Decode + preselect: the cursor's compiled row filter IS the
   // preselection predicate; a quarantined chunk yields an empty partition
   // (and is already on the failure log).
-  auto start = Clock::now();
   std::vector<colstore::EmittedRun> runs;
   dataflow::Partition kpre_part;
   {
-    OBS_SPAN_V(span, "pipeline.preselect");
+    OBS_SPAN_V(span, "pipeline.preselect", clock_.preselect);
     kpre_part = key_table_ != nullptr ? cursor_.decode(k, runs)
                                       : cursor_.decode(k);
     span.set_rows(kpre_part.num_rows());
   }
   if (kpre_rows != nullptr) *kpre_rows = kpre_part.num_rows();
-  preselect_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
 
   // Interpret (Algorithm 1 lines 4–6), shared kernel. On the compressed
   // path the scan's accepted runs drive a dictionary join; otherwise the
   // row-wise broadcast probe.
-  start = Clock::now();
-  OBS_SPAN_V(span, "pipeline.interpret");
+  OBS_SPAN_V(span, "pipeline.interpret", clock_.interpret);
   dataflow::Partition ks_part = dataflow::Table::make_partition(ks_schema());
   if (key_table_ != nullptr) {
     kernel_.interpret_runs(kpre_part, tracefile::kb_schema(), runs,
@@ -125,7 +110,6 @@ dataflow::Partition MorselProcessor::extract(std::size_t k,
     kernel_.interpret_partition(kpre_part, tracefile::kb_schema(), ks_part);
   }
   span.set_rows(ks_part.num_rows());
-  interpret_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   return ks_part;
 }
 
@@ -145,7 +129,8 @@ MorselPartial MorselProcessor::process(std::size_t k,
   dataflow::Partition ks_part = extract(k, &out.kpre_rows);
   out.ks_rows = ks_part.num_rows();
   // Bucket (line 8 semantics).
-  const auto start = Clock::now();
+  OBS_SPAN_V(span, "pipeline.bucket", clock_.bucket);
+  span.set_rows(out.ks_rows);
   PartitionSplit buckets = bucket_split_partition(ks_part, ks_schema());
   out.segments.reserve(buckets.order.size());
   for (std::size_t i = 0; i < buckets.order.size(); ++i) {
@@ -156,14 +141,7 @@ MorselPartial MorselProcessor::process(std::size_t k,
     out.segments.push_back(std::move(seg));
   }
   if (keep_ks != nullptr) *keep_ks = std::move(ks_part);
-  split_ns_.fetch_add(elapsed_ns(start), std::memory_order_relaxed);
   return out;
-}
-
-MorselTimes MorselProcessor::times() const {
-  return {preselect_ns_.load(std::memory_order_relaxed),
-          interpret_ns_.load(std::memory_order_relaxed),
-          split_ns_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace ivt::core

@@ -21,7 +21,6 @@
 // a safe recovery policy.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -35,6 +34,7 @@
 #include "core/split.hpp"
 #include "dataflow/table.hpp"
 #include "errors/failure_log.hpp"
+#include "obs/span.hpp"
 
 namespace ivt::core {
 
@@ -63,7 +63,7 @@ struct MorselPartial {
   std::vector<KeySegment> segments;
 };
 
-/// Split-accumulator shape shared by the streaming shards and the
+/// Split-accumulator shape shared by the in-process executor and the
 /// distributed coordinator: per bucket key, that key's segments from any
 /// subset of morsels, in any order (the merge sorts).
 using KeyedSegments =
@@ -80,12 +80,13 @@ void accumulate_partial(KeyedSegments& keyed, MorselPartial&& partial);
 SplitDataResult merge_split_segments(KeyedSegments&& keyed,
                                      const SplitOptions& options);
 
-/// Wall time the morsels processed so far spent in each executor stage,
-/// summed over morsels (so on a parallel run it can exceed elapsed time).
-struct MorselTimes {
-  std::uint64_t preselect_ns = 0;  ///< chunk fetch + decode + row filter
-  std::uint64_t interpret_ns = 0;
-  std::uint64_t split_ns = 0;      ///< bucketing by (s_id, bus)
+/// The run-owned totals a MorselProcessor's spans add their durations
+/// to; a null total is fed by nothing.
+struct MorselClock {
+  /// `pipeline.preselect`: chunk fetch + decode + row filter.
+  obs::SpanTotal* preselect = nullptr;
+  obs::SpanTotal* interpret = nullptr;  ///< `pipeline.interpret`
+  obs::SpanTotal* bucket = nullptr;  ///< `pipeline.bucket`: by (s_id, bus)
 };
 
 /// The fused decode → preselect → interpret → bucket stage for one
@@ -106,11 +107,11 @@ class MorselProcessor {
   /// Same over any chunk source, with a caller-built scan predicate: it
   /// must select no row outside U_comb (urel_scan_predicate(urel), maybe
   /// narrowed further, e.g. to a time window). The source must outlive
-  /// the processor too.
+  /// the processor too, and so must the totals `clock` points at.
   MorselProcessor(const colstore::ChunkSource& source,
                   const colstore::ScanPredicate& pred,
                   const dataflow::Table& urel, const PipelineConfig& config,
-                  errors::FailureLog* failures);
+                  errors::FailureLog* failures, MorselClock clock);
 
   [[nodiscard]] std::size_t num_morsels() const {
     return cursor_.num_morsels();
@@ -135,18 +136,13 @@ class MorselProcessor {
   /// counters reflect the morsels processed so far).
   [[nodiscard]] colstore::ScanStats stats() const { return cursor_.stats(); }
 
-  /// Stage times of the morsels processed so far.
-  [[nodiscard]] MorselTimes times() const;
-
  private:
   colstore::ChunkCursor cursor_;
   InterpretKernel kernel_;
   /// Per-file dictionary join for the compressed path (null when the
   /// cursor decodes; see InterpretKernel::prepare_keys).
   std::shared_ptr<const InterpretKernel::KeyTable> key_table_;
-  mutable std::atomic<std::uint64_t> preselect_ns_{0};
-  mutable std::atomic<std::uint64_t> interpret_ns_{0};
-  mutable std::atomic<std::uint64_t> split_ns_{0};
+  MorselClock clock_;
 };
 
 }  // namespace ivt::core

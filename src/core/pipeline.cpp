@@ -1,13 +1,7 @@
 #include "core/pipeline.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <iterator>
 #include <stdexcept>
-#include <string_view>
-#include <unordered_map>
 
 #include "colstore/chunk_cursor.hpp"
 #include "core/schemas.hpp"
@@ -16,19 +10,15 @@
 #include "faultfx/faultfx.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace ivt::core {
 
 namespace {
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
+/// Report names of the Stage values, in enum order.
+constexpr const char* kStageNames[] = {"preselect", "interpret", "split",
+                                       "reduce",    "extend",    "classify",
+                                       "branch",    "merge",     "state_repr"};
 
 const char* branch_span_name(Branch branch) {
   switch (branch) {
@@ -39,33 +29,6 @@ const char* branch_span_name(Branch branch) {
   return "branch.unknown";
 }
 
-/// Relaxed-atomic nanosecond accumulators for the per-sequence sub-stages
-/// (reduce/extend/classify/branch run inside parallel_for, so their
-/// totals are summed across workers).
-struct SubStageNs {
-  std::atomic<std::uint64_t> reduce{0};
-  std::atomic<std::uint64_t> extend{0};
-  std::atomic<std::uint64_t> classify{0};
-  std::atomic<std::uint64_t> branch{0};
-};
-
-/// One split accumulator shard: appended to under its own mutex by morsel
-/// tasks, merged single-threaded afterwards (the merge still takes the —
-/// by then uncontended — lock so the access contract stays checkable).
-struct Shard {
-  support::Mutex mu{support::LockRank::k_core_Shard_mu};
-  KeyedSegments keys IVT_GUARDED_BY(mu);
-};
-
-/// Shard by s_id (the prefix of the bucket key up to the unit separator),
-/// so all channels of one signal land in the same accumulator.
-std::size_t shard_of(const std::string& key, std::size_t num_shards) {
-  const std::size_t cut = key.find('\x1F');
-  return std::hash<std::string_view>{}(
-             std::string_view(key).substr(0, cut)) %
-         num_shards;
-}
-
 /// What the morsel executor hands from lines 2–9 to lines 10–29.
 struct MorselRun {
   SplitDataResult split;
@@ -73,76 +36,54 @@ struct MorselRun {
   std::size_t ks_rows = 0;
   /// Interpreted K_s partitions in morsel order (only when keep_ks).
   std::vector<dataflow::Partition> ks_parts;
-  std::uint64_t merge_ns = 0;
 };
 
 /// Algorithm 1 lines 2–9 over every morsel of `processor`: each morsel is
 /// decoded, preselected, interpreted and bucketed as one
 /// bounded-admission task (at most 2 × workers + 1 decoded morsels
-/// exist at once), its segments are appended to hash-sharded split
-/// accumulators, and the shards are drained through the shared
-/// order-stable merge (the same one the dist coordinator uses).
+/// exist at once) into its own slot, and the slots are folded in morsel
+/// order through the shared order-stable merge (the same one the dist
+/// coordinator uses) under a `pipeline.split` span feeding `split_ns`.
 MorselRun run_morsels(dataflow::Engine& engine,
                       const MorselProcessor& processor,
-                      const SplitOptions& split_options, bool keep_ks) {
+                      const SplitOptions& split_options, bool keep_ks,
+                      obs::SpanTotal* split_ns) {
   MorselRun out;
   const std::size_t num_morsels = processor.num_morsels();
-  // Purely a contention knob: the merge is order-stable, so results do
-  // not depend on the shard count.
-  const std::size_t num_shards = std::clamp<std::size_t>(
-      4 * std::max<std::size_t>(1, engine.workers()), 1, 64);
-  std::vector<Shard> shards(num_shards);
+  std::vector<MorselPartial> partials(num_morsels);
   if (keep_ks) out.ks_parts.resize(num_morsels);
-  std::atomic<std::size_t> kpre_rows{0};
-  std::atomic<std::size_t> ks_rows{0};
 
   engine.parallel_for_bounded(num_morsels, 0, [&](std::size_t k) {
-    MorselPartial partial =
-        processor.process(k, keep_ks ? &out.ks_parts[k] : nullptr);
-    kpre_rows.fetch_add(partial.kpre_rows, std::memory_order_relaxed);
-    ks_rows.fetch_add(partial.ks_rows, std::memory_order_relaxed);
-    for (KeySegment& seg : partial.segments) {
-      Shard& shard = shards[shard_of(seg.key, num_shards)];
-      const support::MutexLock lock(shard.mu);
-      shard.keys[seg.key].push_back(
-          SplitSegment{k, seg.first_row, std::move(seg.data)});
-    }
+    partials[k] = processor.process(k, keep_ks ? &out.ks_parts[k] : nullptr);
   });
 
-  const auto merge_start = std::chrono::steady_clock::now();
-  OBS_SPAN_V(span, "pipeline.split");
+  OBS_SPAN_V(span, "pipeline.split", split_ns);
   KeyedSegments keyed;
-  for (Shard& shard : shards) {
-    const support::MutexLock lock(shard.mu);
-    if (keyed.empty()) {
-      keyed = std::move(shard.keys);
-    } else {
-      for (auto& [key, segments] : shard.keys) {
-        auto& dst = keyed[key];
-        std::move(segments.begin(), segments.end(),
-                  std::back_inserter(dst));
-      }
-    }
-    shard.keys.clear();
+  for (MorselPartial& partial : partials) {
+    out.kpre_rows += partial.kpre_rows;
+    out.ks_rows += partial.ks_rows;
+    accumulate_partial(keyed, std::move(partial));
   }
   out.split = merge_split_segments(std::move(keyed), split_options);
   span.set_rows(out.split.sequences.size());
-  out.merge_ns = elapsed_ns(merge_start);
-  out.kpre_rows = kpre_rows.load(std::memory_order_relaxed);
-  out.ks_rows = ks_rows.load(std::memory_order_relaxed);
   return out;
 }
 
 }  // namespace
 
-/// Publishes to the metrics registry so both `--report-json` and
-/// `--metrics-out` answer "which stage dominated".
-void record_stage_time(std::vector<StageTiming>& times, const char* name,
-                       std::uint64_t wall_ns) {
-  times.push_back({name, static_cast<double>(wall_ns) / 1e6});
-  obs::Registry::instance()
-      .counter(std::string("pipeline.stage.") + name + ".wall_ns")
-      .add(wall_ns);
+std::vector<StageTiming> StageClock::render(Stage first, Stage last) const {
+  std::vector<StageTiming> times;
+  for (auto i = static_cast<std::size_t>(first);
+       i <= static_cast<std::size_t>(last); ++i) {
+    const std::uint64_t wall_ns = ns_[i].load(std::memory_order_relaxed);
+    times.push_back({kStageNames[i], wall_ns});
+    // Published too, so `--metrics-out` answers "which stage dominated".
+    obs::Registry::instance()
+        .counter(std::string("pipeline.stage.") + kStageNames[i] +
+                 ".wall_ns")
+        .add(wall_ns);
+  }
+  return times;
 }
 
 ExecMode parse_exec_mode(const std::string& text) {
@@ -194,7 +135,8 @@ Pipeline::ReducedResult Pipeline::extract_and_reduce(
     dataflow::Engine& engine, const colstore::ColumnarReader& reader) const {
   OBS_SPAN("pipeline.extract_and_reduce");
   const MorselProcessor processor(reader, urel_, config_, nullptr);
-  MorselRun run = run_morsels(engine, processor, config_.split, false);
+  MorselRun run =
+      run_morsels(engine, processor, config_.split, false, nullptr);
   ReducedResult result;
   result.ks_rows = run.ks_rows;
   result.correspondences = std::move(run.split.correspondences);
@@ -215,9 +157,8 @@ Pipeline::ReducedResult Pipeline::extract_and_reduce(
 }
 
 void Pipeline::process_and_merge(dataflow::Engine& engine,
-                                 SplitDataResult split,
-                                 PipelineResult& result) const {
-  using Clock = std::chrono::steady_clock;
+                                 SplitDataResult split, StageClock& clock,
+                                 Stage first, PipelineResult& result) const {
   result.correspondences = std::move(split.correspondences);
 
   // Lines 10–28 per sequence, parallel across sequences: reduction,
@@ -226,7 +167,6 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
   std::vector<SequenceReport> reports(n);
   std::vector<dataflow::Table> branch_tables(n);
   std::vector<std::vector<dataflow::Table>> extension_tables(n);
-  SubStageNs sub_ns;
   errors::FailureLog failure_log;
 
   const auto process_sequence = [&](std::size_t i) {
@@ -239,22 +179,18 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
     report.input_rows = raw.size();
 
     // Line 10–11: constraint reduction.
-    auto sub_start = Clock::now();
     const SequenceData red = [&] {
-      OBS_SPAN_V(span, "sequence.reduce");
+      OBS_SPAN_V(span, "sequence.reduce", clock[Stage::Reduce]);
       SequenceData r = reduce_sequence(config_.constraints, raw, spec);
       span.set_rows(r.size());
       return r;
     }();
-    sub_ns.reduce.fetch_add(elapsed_ns(sub_start),
-                            std::memory_order_relaxed);
     report.reduced_rows = red.size();
     const ConstraintContext context{red, spec};
 
     // Line 12: extensions W (on raw or reduced data, see PipelineConfig).
-    sub_start = Clock::now();
     {
-      OBS_SPAN_V(span, "sequence.extend");
+      OBS_SPAN_V(span, "sequence.extend", clock[Stage::Extend]);
       const ConstraintContext extension_context{
           config_.extensions_on_reduced ? red : raw, spec};
       extension_tables[i] =
@@ -264,28 +200,20 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
       }
       span.set_rows(report.extension_rows);
     }
-    sub_ns.extend.fetch_add(elapsed_ns(sub_start),
-                            std::memory_order_relaxed);
 
     // Lines 13–28: classification + branch processing.
-    sub_start = Clock::now();
     {
-      OBS_SPAN("sequence.classify");
+      OBS_SPAN("sequence.classify", clock[Stage::Classify]);
       report.classification = classify_sequence(context, config_.classifier);
     }
-    sub_ns.classify.fetch_add(elapsed_ns(sub_start),
-                              std::memory_order_relaxed);
-
-    sub_start = Clock::now();
     {
-      OBS_SPAN_V(span, branch_span_name(report.classification.branch));
+      OBS_SPAN_V(span, branch_span_name(report.classification.branch),
+                 clock[Stage::Branch]);
       branch_tables[i] = process_by_branch(report.classification.branch,
                                            context, config_.branch,
                                            &report.branch_stats);
       span.set_rows(branch_tables[i].num_rows());
     }
-    sub_ns.branch.fetch_add(elapsed_ns(sub_start),
-                            std::memory_order_relaxed);
     report.output_rows = branch_tables[i].num_rows();
   };
 
@@ -326,15 +254,6 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
                            std::make_move_iterator(records.begin()),
                            std::make_move_iterator(records.end()));
   }
-  record_stage_time(result.stage_times, "reduce",
-                    sub_ns.reduce.load(std::memory_order_relaxed));
-  record_stage_time(result.stage_times, "extend",
-                    sub_ns.extend.load(std::memory_order_relaxed));
-  record_stage_time(result.stage_times, "classify",
-                    sub_ns.classify.load(std::memory_order_relaxed));
-  record_stage_time(result.stage_times, "branch",
-                    sub_ns.branch.load(std::memory_order_relaxed));
-
   result.sequences = std::move(reports);
   for (const SequenceReport& report : result.sequences) {
     result.reduced_rows += report.reduced_rows;
@@ -342,9 +261,8 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
   OBS_COUNT("pipeline.reduced_rows", result.reduced_rows);
 
   // Line 29: merge K_res and W into R_out.
-  auto stage_start = Clock::now();
   {
-    OBS_SPAN_V(span, "pipeline.merge");
+    OBS_SPAN_V(span, "pipeline.merge", clock[Stage::Merge]);
     std::vector<dataflow::Table> all;
     all.reserve(branch_tables.size() * 2);
     for (std::size_t i = 0; i < n; ++i) {
@@ -357,19 +275,18 @@ void Pipeline::process_and_merge(dataflow::Engine& engine,
     span.set_rows(result.krep.num_rows());
   }
   result.krep_rows = result.krep.num_rows();
-  record_stage_time(result.stage_times, "merge", elapsed_ns(stage_start));
   OBS_COUNT("pipeline.krep_rows", result.krep_rows);
 
   // Sec. 4.3: state representation.
+  Stage last = Stage::Merge;
   if (config_.build_state) {
-    stage_start = Clock::now();
-    OBS_SPAN_V(span, "pipeline.state_repr");
+    OBS_SPAN_V(span, "pipeline.state_repr", clock[Stage::StateRepr]);
     result.state =
         build_state_representation(engine, result.krep, config_.state);
     span.set_rows(result.state.num_rows());
-    record_stage_time(result.stage_times, "state_repr",
-                      elapsed_ns(stage_start));
+    last = Stage::StateRepr;
   }
+  result.stage_times = clock.render(first, last);
 }
 
 PipelineResult Pipeline::run(dataflow::Engine& engine,
@@ -392,10 +309,12 @@ PipelineResult Pipeline::run(dataflow::Engine& engine,
   OBS_SPAN("pipeline.run");
   OBS_COUNT("pipeline.runs", 1);
   errors::FailureLog scan_failures;
-  const MorselProcessor processor(source, urel_scan_predicate(urel_), urel_,
-                                  config_, &scan_failures);
-  MorselRun run =
-      run_morsels(engine, processor, config_.split, config_.keep_ks);
+  StageClock clock;
+  const MorselProcessor processor(
+      source, urel_scan_predicate(urel_), urel_, config_, &scan_failures,
+      {clock[Stage::Preselect], clock[Stage::Interpret], clock[Stage::Split]});
+  MorselRun run = run_morsels(engine, processor, config_.split,
+                              config_.keep_ks, clock[Stage::Split]);
   const colstore::ScanStats scan = processor.stats();
 
   PipelineResult result;
@@ -406,11 +325,6 @@ PipelineResult Pipeline::run(dataflow::Engine& engine,
   result.kpre_rows = run.kpre_rows;
   result.ks_rows = run.ks_rows;
   OBS_COUNT("pipeline.ks_rows", result.ks_rows);
-  const MorselTimes times = processor.times();
-  record_stage_time(result.stage_times, "preselect", times.preselect_ns);
-  record_stage_time(result.stage_times, "interpret", times.interpret_ns);
-  record_stage_time(result.stage_times, "split",
-                    times.split_ns + run.merge_ns);
 
   if (config_.keep_ks) {
     result.ks = dataflow::Table(ks_schema());
@@ -423,7 +337,8 @@ PipelineResult Pipeline::run(dataflow::Engine& engine,
   // Scan-level losses come first in the report, matching the order events
   // actually happened.
   result.failures = scan_failures.records();
-  process_and_merge(engine, std::move(run.split), result);
+  process_and_merge(engine, std::move(run.split), clock, Stage::Preselect,
+                    result);
 
   OBS_GAUGE_SET("process.peak_rss_bytes",
                 static_cast<std::int64_t>(obs::peak_rss_bytes()));
@@ -441,13 +356,12 @@ PipelineResult Pipeline::merge_morsel_partials(
   result.kpre_rows = kpre_rows;
   result.ks_rows = ks_rows;
   result.failures = std::move(failures);
-  const auto merge_start = std::chrono::steady_clock::now();
+  StageClock clock;
   SplitDataResult split = [&] {
-    OBS_SPAN("pipeline.split");
+    OBS_SPAN("pipeline.split", clock[Stage::Split]);
     return merge_split_segments(std::move(keyed), config_.split);
   }();
-  record_stage_time(result.stage_times, "split", elapsed_ns(merge_start));
-  process_and_merge(engine, std::move(split), result);
+  process_and_merge(engine, std::move(split), clock, Stage::Split, result);
   return result;
 }
 

@@ -8,6 +8,7 @@
 // automatically, as a sequence of distributable tabular operations.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "dataflow/engine.hpp"
 #include "errors/error.hpp"
 #include "errors/failure_log.hpp"
+#include "obs/span.hpp"
 #include "signaldb/catalog.hpp"
 
 namespace ivt::core {
@@ -34,11 +36,11 @@ namespace ivt::core {
 /// every input (a .ivt file or an in-memory Trace runs it over an
 /// in-memory .ivc image, colstore::open_trace): U_comb is pushed down
 /// into the chunk scan and each surviving chunk flows decode → preselect
-/// → interpret → per-signal shard append as ONE morsel task; bounded
-/// task admission caps the number of decoded morsels in flight, so peak
-/// memory is bounded by the admission window × chunk size + the split
-/// accumulators. Both names stay so existing invocations keep working
-/// (`ivt run --exec streaming`, `ivt_bench jobs --mode streaming`).
+/// → interpret → bucket as ONE morsel task; bounded task admission caps
+/// the number of decoded morsels in flight, so peak memory is bounded by
+/// the admission window × chunk size + the bucketed split output. Both
+/// names stay so existing invocations keep working (`ivt run --exec
+/// streaming`, `ivt_bench jobs --mode streaming`).
 ///
 /// Dist: the same morsel work fanned out over coordinator-assigned
 /// worker processes (src/dist); orchestrated by the CLI layer
@@ -109,12 +111,49 @@ struct SequenceReport {
   std::string drop_reason;
 };
 
-/// Wall time of one Algorithm-1 stage across the whole run (sub-stages
-/// executed per sequence or per morsel are summed over them, so on a
-/// parallel run they can exceed the elapsed wall clock).
+/// Wall time of one Algorithm-1 stage across the whole run: the summed
+/// duration of the spans that timed it (sub-stages executed per sequence
+/// or per morsel are summed over them, so on a parallel run they can
+/// exceed the elapsed wall clock).
 struct StageTiming {
   std::string stage;
-  double wall_ms = 0.0;
+  std::uint64_t wall_ns = 0;
+  [[nodiscard]] double wall_ms() const {
+    return static_cast<double>(wall_ns) / 1e6;
+  }
+};
+
+/// Algorithm 1's stages, in report order.
+enum class Stage : std::uint8_t {
+  Preselect,
+  Interpret,
+  Split,
+  Reduce,
+  Extend,
+  Classify,
+  Branch,
+  Merge,
+  StateRepr,
+};
+
+/// One run's stage clock: a nanosecond total per stage, each the sum of
+/// the spans that timed it (obs::SpanScope adds its own dur_ns). Owned by
+/// the run, so concurrent runs never mix their times.
+class StageClock {
+ public:
+  [[nodiscard]] obs::SpanTotal* operator[](Stage stage) {
+    return &ns_[static_cast<std::size_t>(stage)];
+  }
+
+  /// Stages `first` through `last` in order, each also added to the
+  /// process-wide `pipeline.stage.<name>.wall_ns` counter: call once, at
+  /// the end of the run.
+  [[nodiscard]] std::vector<StageTiming> render(Stage first,
+                                                Stage last) const;
+
+ private:
+  std::array<obs::SpanTotal, static_cast<std::size_t>(Stage::StateRepr) + 1>
+      ns_{};
 };
 
 /// Recovery accounting of one distributed run (zeros / disabled for batch
@@ -140,12 +179,12 @@ struct PipelineResult {
   std::size_t krep_rows = 0;
 
   /// Per-stage wall-time totals in execution order (preselect, interpret,
-  /// split, reduce, extend, classify, branch, merge, state_repr) — the
-  /// same list on every path. The morsel executor sums chunk fetch,
-  /// decode and row filter into preselect, and bucketing plus the shard
-  /// merge into split; dist reports only its coordinator-side merge as
-  /// split. Also published to the obs metrics registry as
-  /// `pipeline.stage.<name>.wall_ns` counters.
+  /// split, reduce, extend, classify, branch, merge, state_repr; no
+  /// state_repr without build_state) — the same list on every path. The
+  /// morsel executor sums chunk fetch, decode and row filter into
+  /// preselect, and bucketing plus the merge into split; dist reports
+  /// only its coordinator-side merge, from split on. Also published to
+  /// the obs metrics registry as `pipeline.stage.<name>.wall_ns` counters.
   std::vector<StageTiming> stage_times;
 
   dataflow::Table ks;    ///< only populated when config.keep_ks
@@ -190,10 +229,10 @@ class Pipeline {
   /// The morsel executor over any chunk source (ivt-serve passes one that
   /// reads through its chunk cache): U_comb is pushed down as the scan
   /// predicate, each surviving chunk is decoded, preselected, interpreted
-  /// and bucketed into hash-sharded split accumulators as one
-  /// bounded-admission task, and the accumulators are merged order-stably
-  /// so K_s order, split sequences, K_rep and all counters do not depend
-  /// on the chunk size, the worker count or the morsel schedule.
+  /// and bucketed as one bounded-admission task into its own slot, and
+  /// the slots are merged order-stably so K_s order, split sequences,
+  /// K_rep and all counters do not depend on the chunk size, the worker
+  /// count or the morsel schedule.
   PipelineResult run(dataflow::Engine& engine,
                      const colstore::ChunkSource& source,
                      colstore::ScanStats* stats = nullptr) const;
@@ -230,9 +269,11 @@ class Pipeline {
 
   /// Algorithm 1 lines 10–29 + state representation, shared verbatim by
   /// the morsel executor and dist: consumes `split`, fills sequence
-  /// reports, K_rep, state and the per-sequence stage times, and appends
-  /// dropped-sequence failures to result.failures.
+  /// reports, K_rep and state, appends dropped-sequence failures to
+  /// result.failures, and ends the run by rendering `clock` from `first`
+  /// into result.stage_times.
   void process_and_merge(dataflow::Engine& engine, SplitDataResult split,
+                         StageClock& clock, Stage first,
                          PipelineResult& result) const;
 
   const signaldb::Catalog& catalog_;
@@ -243,11 +284,5 @@ class Pipeline {
 /// Concatenate krep-schema tables (deterministic order, partitions moved).
 dataflow::Table concat_tables(const dataflow::Schema& schema,
                               std::vector<dataflow::Table> tables);
-
-/// Append one stage total to `times` and publish it to the metrics
-/// registry (`pipeline.stage.<name>.wall_ns`), so every execution path
-/// reports stage times the same way.
-void record_stage_time(std::vector<StageTiming>& times, const char* name,
-                       std::uint64_t wall_ns);
 
 }  // namespace ivt::core

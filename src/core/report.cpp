@@ -29,7 +29,7 @@ std::string report_to_text(const PipelineResult& result) {
     for (const StageTiming& st : result.stage_times) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "  %-12s %10.2f ms\n",
-                    st.stage.c_str(), st.wall_ms);
+                    st.stage.c_str(), st.wall_ms());
       os << buf;
     }
   }
@@ -85,7 +85,7 @@ std::string report_to_json(const PipelineResult& result) {
   for (std::size_t i = 0; i < result.stage_times.size(); ++i) {
     const StageTiming& st = result.stage_times[i];
     char wall[32];
-    std::snprintf(wall, sizeof(wall), "%.3f", st.wall_ms);
+    std::snprintf(wall, sizeof(wall), "%.3f", st.wall_ms());
     os << "    {\"stage\": \"" << json_escape(st.stage)
        << "\", \"wall_ms\": " << wall << "}"
        << (i + 1 < result.stage_times.size() ? "," : "") << "\n";

@@ -56,8 +56,8 @@ SplitDataResult split_signals_data(dataflow::Engine& engine,
 // --- Building blocks of the morsel executor's split ----------------------
 //
 // The executor buckets each morsel's K_s rows as it is produced
-// (bucket_split_partition), appends the per-morsel segments into
-// hash-sharded accumulators, reconstructs the whole-trace key order from
+// (bucket_split_partition), keeps each morsel's segments in its own slot,
+// reconstructs the whole-trace key order from
 // (first morsel, first row) tags, and finally runs the channel grouping +
 // e(·) dedup (group_split_sequences).
 

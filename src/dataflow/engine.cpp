@@ -125,45 +125,25 @@ void Engine::parallel_for_bounded(std::size_t n, std::size_t max_in_flight,
 Table Engine::map_partitions(
     const std::string& stage_name, const Table& in, const Schema& out_schema,
     const std::function<Partition(const Partition&, std::size_t)>& fn) {
-  OBS_SPAN_V(stage_span, "engine." + stage_name);
   OBS_COUNT("engine.stages", 1);
   OBS_COUNT("engine.tasks", in.num_partitions());
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<Partition> out(in.num_partitions());
-  parallel_for(in.num_partitions(), [&](std::size_t i) {
-    OBS_SPAN_V(task_span, "engine.task");
-    out[i] = fn(in.partition(i), i);
-    task_span.set_rows(out[i].num_rows());
-  });
+  obs::SpanTotal wall_ns{0};
   Table result(out_schema);
-  for (Partition& p : out) result.add_partition(std::move(p));
-  const auto end = std::chrono::steady_clock::now();
-  stage_span.set_rows(result.num_rows());
-
-  StageMetrics m;
-  m.name = stage_name;
-  m.tasks = in.num_partitions();
-  m.input_rows = in.num_rows();
-  m.output_rows = result.num_rows();
-  m.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-  OBS_HIST_MS("engine.stage_wall_ms", m.wall_ms);
-  record_stage(std::move(m));
+  {
+    OBS_SPAN_V(stage_span, "engine." + stage_name, &wall_ns);
+    std::vector<Partition> out(in.num_partitions());
+    parallel_for(in.num_partitions(), [&](std::size_t i) {
+      OBS_SPAN_V(task_span, "engine.task");
+      out[i] = fn(in.partition(i), i);
+      task_span.set_rows(out[i].num_rows());
+    });
+    for (Partition& p : out) result.add_partition(std::move(p));
+    stage_span.set_rows(result.num_rows());
+  }
+  OBS_HIST_MS("engine.stage_wall_ms",
+              static_cast<double>(wall_ns.load(std::memory_order_relaxed)) /
+                  1e6);
   return result;
-}
-
-std::vector<StageMetrics> Engine::metrics() const {
-  const support::MutexLock lock(metrics_mutex_);
-  return metrics_;
-}
-
-void Engine::clear_metrics() {
-  const support::MutexLock lock(metrics_mutex_);
-  metrics_.clear();
-}
-
-void Engine::record_stage(StageMetrics m) {
-  const support::MutexLock lock(metrics_mutex_);
-  metrics_.push_back(std::move(m));
 }
 
 }  // namespace ivt::dataflow

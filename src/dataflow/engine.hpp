@@ -22,8 +22,6 @@
 
 #include "dataflow/table.hpp"
 #include "dataflow/thread_pool.hpp"
-#include "support/mutex.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace ivt::dataflow {
 
@@ -47,15 +45,6 @@ struct EngineConfig {
   /// Base backoff before a retry; attempt k sleeps base × 2^k plus a
   /// deterministic jitter derived from (task index, attempt).
   std::chrono::microseconds retry_backoff{100};
-};
-
-/// Counters for one executed stage (one logical operation).
-struct StageMetrics {
-  std::string name;
-  std::size_t tasks = 0;
-  std::size_t input_rows = 0;
-  std::size_t output_rows = 0;
-  double wall_ms = 0.0;
 };
 
 class Engine {
@@ -90,19 +79,12 @@ class Engine {
   }
 
   /// Map every input partition through `fn` (partition-index-preserving);
-  /// `fn(partition, index)` returns the output partition. Records a stage.
+  /// `fn(partition, index)` returns the output partition. The stage is one
+  /// `engine.<stage_name>` span, whose duration also feeds the
+  /// `engine.stage_wall_ms` histogram.
   Table map_partitions(
       const std::string& stage_name, const Table& in, const Schema& out_schema,
       const std::function<Partition(const Partition&, std::size_t)>& fn);
-
-  /// Stage log of every operation executed through this engine.
-  [[nodiscard]] std::vector<StageMetrics> metrics() const
-      IVT_EXCLUDES(metrics_mutex_);
-  void clear_metrics() IVT_EXCLUDES(metrics_mutex_);
-
-  /// Record an externally measured stage (used by operations that cannot
-  /// be expressed as a pure partition map, e.g. a columnar scan).
-  void record_stage(StageMetrics m) IVT_EXCLUDES(metrics_mutex_);
 
  private:
   void apply_task_overhead() const;
@@ -112,9 +94,6 @@ class Engine {
   EngineConfig config_;
   std::size_t default_partitions_;
   std::unique_ptr<ThreadPool> pool_;
-  mutable support::Mutex metrics_mutex_{
-      support::LockRank::k_dataflow_Engine_metrics_mutex_};
-  std::vector<StageMetrics> metrics_ IVT_GUARDED_BY(metrics_mutex_);
   std::atomic<std::size_t> task_retries_{0};
 };
 

@@ -10,8 +10,9 @@
 //   events   "subsystem.what"        e.g. serve.query, serve.slow_query
 //
 // A metric site costs one relaxed atomic add after its first call (the
-// registry lookup is cached in a function-local static); a span costs
-// one relaxed atomic load while tracing is off.
+// registry lookup is cached in a function-local static). A span always
+// records: two steady_clock reads and an uncontended push into its
+// thread's ring, plus one relaxed add when it feeds a stage total.
 #pragma once
 
 #include "obs/eventlog.hpp"
@@ -23,14 +24,15 @@
 #define IVT_OBS_CONCAT_INNER(a, b) a##b
 #define IVT_OBS_CONCAT(a, b) IVT_OBS_CONCAT_INNER(a, b)
 
-/// Anonymous RAII span covering the rest of the enclosing scope.
-#define OBS_SPAN(name)                        \
+/// Anonymous RAII span covering the rest of the enclosing scope;
+/// OBS_SPAN("x", &total) also adds its duration to a run-owned SpanTotal.
+#define OBS_SPAN(...)                                    \
   [[maybe_unused]] ::ivt::obs::SpanScope IVT_OBS_CONCAT( \
-      obs_span_, __COUNTER__)(name)
+      obs_span_, __COUNTER__)(__VA_ARGS__)
 
 /// Named span variable, for attaching attributes: OBS_SPAN_V(s, "x");
 /// s.set_rows(n);
-#define OBS_SPAN_V(var, name) ::ivt::obs::SpanScope var(name)
+#define OBS_SPAN_V(var, ...) ::ivt::obs::SpanScope var(__VA_ARGS__)
 
 /// Structured event-log record builder; chain .kv() calls, the record is
 /// enqueued when the temporary dies at the end of the statement:

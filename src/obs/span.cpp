@@ -1,7 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -16,8 +16,6 @@
 namespace ivt::obs {
 
 namespace {
-
-std::atomic<bool> g_tracing_enabled{true};
 
 /// One thread's bounded span storage. Owned jointly by the thread (via a
 /// thread_local shared_ptr) and the global collector, so events survive
@@ -84,14 +82,6 @@ std::chrono::steady_clock::time_point trace_epoch() {
 
 }  // namespace
 
-bool tracing_enabled() noexcept {
-  return g_tracing_enabled.load(std::memory_order_relaxed);
-}
-
-void set_tracing_enabled(bool enabled) noexcept {
-  g_tracing_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 void set_current_node(std::int32_t node) noexcept { t_node = node; }
 
 std::int32_t current_node() noexcept { return t_node; }
@@ -102,9 +92,8 @@ std::int64_t trace_now_ns() noexcept {
       .count();
 }
 
-SpanScope::SpanScope(std::string_view name) noexcept {
-  if (!tracing_enabled()) return;
-  active_ = true;
+SpanScope::SpanScope(std::string_view name, SpanTotal* total) noexcept
+    : total_(total) {
   const std::size_t n = std::min(name.size(), kSpanNameCapacity);
   std::memcpy(name_, name.data(), n);
   name_[n] = '\0';
@@ -115,10 +104,13 @@ SpanScope::SpanScope(std::string_view name) noexcept {
 }
 
 SpanScope::~SpanScope() {
-  if (!active_) return;
   SpanEvent e;
   e.start_ns = start_ns_;
   e.dur_ns = trace_now_ns() - start_ns_;
+  if (total_ != nullptr) {
+    total_->fetch_add(static_cast<std::uint64_t>(e.dur_ns),
+                      std::memory_order_relaxed);
+  }
   e.depth = --t_depth;
   e.rows = rows_;
   e.bytes = bytes_;

@@ -9,11 +9,13 @@
 // so tracing memory is bounded no matter how long a run is; rings outlive
 // their threads so a pool can be destroyed before export.
 //
-// Recording is gated on `tracing_enabled()` (default on; a disabled span
-// costs one relaxed atomic load).
+// A span is also the stage clock: opened on a run-owned SpanTotal, it
+// adds the very dur_ns it records to that total, so a stage time is the
+// sum of the spans that timed it. Spans always record; there is no
+// runtime switch.
 #pragma once
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -49,8 +51,9 @@ struct SpanEvent {
   std::int32_t node = -1;
 };
 
-[[nodiscard]] bool tracing_enabled() noexcept;
-void set_tracing_enabled(bool enabled) noexcept;
+/// A stage total in nanoseconds, owned by one run (a pipeline run, a
+/// served request): every span opened on it adds its own dur_ns.
+using SpanTotal = std::atomic<std::uint64_t>;
 
 /// Tag every span recorded by THIS thread from now on with a distributed
 /// node id (coordinator = 0, workers >= 1); -1 clears the tag. Rendered
@@ -64,7 +67,9 @@ std::int64_t trace_now_ns() noexcept;
 
 class SpanScope {
  public:
-  explicit SpanScope(std::string_view name) noexcept;
+  /// `total` (optional) receives this span's dur_ns when it closes.
+  explicit SpanScope(std::string_view name,
+                     SpanTotal* total = nullptr) noexcept;
   ~SpanScope();
 
   void set_rows(std::uint64_t rows) noexcept { rows_ = rows; }
@@ -75,12 +80,12 @@ class SpanScope {
 
  private:
   std::int64_t start_ns_ = 0;
+  SpanTotal* total_ = nullptr;
   std::uint64_t rows_ = kSpanAttrUnset;
   std::uint64_t bytes_ = kSpanAttrUnset;
   std::uint64_t trace_id_ = 0;  ///< captured from the thread's context
   std::int32_t node_ = -1;      ///< captured from set_current_node
   char name_[kSpanNameCapacity + 1];
-  bool active_ = false;
 };
 
 /// Snapshot of every thread's recorded spans (ring order, then by tid).

@@ -1,6 +1,7 @@
 #include "serve/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -27,10 +28,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
+/// The request stages, in reply order; each op reports the ones it ran.
+enum class ServeStage : std::uint8_t {
+  Scan,
+  Interpret,
+  Pipeline,
+  Slice,
+  Serialize,
+  Mine,
+};
+constexpr const char* kServeStageNames[] = {
+    "scan", "interpret", "pipeline", "slice", "serialize", "mine"};
+constexpr std::size_t kServeStages = std::size(kServeStageNames);
 
 /// Inline engine for request-scoped pipeline work: every dataflow task
 /// runs on the calling pool worker. Parallelism comes from concurrent
@@ -48,8 +57,6 @@ std::string render_csv(const dataflow::Table& table) {
   dataflow::write_csv(table, out);
   return std::move(out).str();
 }
-
-double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 /// Algorithm 1 over the requested signal set (U_comb) with the batch CLI's
 /// defaults (`ivt run`), so served results are byte-comparable with batch
@@ -71,13 +78,6 @@ core::Pipeline make_pipeline(const signaldb::Catalog& db,
   }
 }
 
-double stage_ms(const core::PipelineResult& result, const char* stage) {
-  for (const core::StageTiming& st : result.stage_times) {
-    if (st.stage == stage) return st.wall_ms;
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 struct QueryEngine::RequestContext {
@@ -93,7 +93,10 @@ struct QueryEngine::RequestContext {
   std::int64_t top_k = 10;
 
   Clock::time_point start = Clock::now();
-  std::vector<std::pair<std::string, double>> stages;
+  /// This request's stage clock: the spans that time a stage add their
+  /// durations here, and finish() renders the stages that ran.
+  std::array<obs::SpanTotal, kServeStages> stage_ns{};
+  std::array<bool, kServeStages> stage_ran{};
   std::uint64_t trace_id = 0;
   std::size_t chunks_total = 0;
   std::size_t chunks_scanned = 0;
@@ -103,22 +106,12 @@ struct QueryEngine::RequestContext {
   bool state_cache_hit = false;
   std::uint64_t rows = 0;
 
-  /// Scoped per-stage wall clock; results land in the response's
-  /// "stages" object and (via the enclosing OBS span) in the Chrome
-  /// trace.
-  class StageTimer {
-   public:
-    StageTimer(RequestContext& ctx, std::string name)
-        : ctx_(ctx), name_(std::move(name)), start_(Clock::now()) {}
-    ~StageTimer() { ctx_.stages.emplace_back(name_, ms_since(start_)); }
-    StageTimer(const StageTimer&) = delete;
-    StageTimer& operator=(const StageTimer&) = delete;
-
-   private:
-    RequestContext& ctx_;
-    std::string name_;
-    Clock::time_point start_;
-  };
+  /// The total that the spans timing `stage` feed; marks it as run.
+  obs::SpanTotal* stage(ServeStage stage) {
+    const auto i = static_cast<std::size_t>(stage);
+    stage_ran[i] = true;
+    return &stage_ns[i];
+  }
 
   [[nodiscard]] bool has_time_range() const { return has_min || has_max; }
 
@@ -138,14 +131,23 @@ struct QueryEngine::RequestContext {
 
   [[nodiscard]] QueryResult finish(json::Object& body,
                                    std::string payload = {}) const {
+    QueryResult result{{}, std::move(payload), {}};
     json::Object stage_obj;
-    for (const auto& [name, wall_ms] : stages) stage_obj.add(name, wall_ms);
+    for (std::size_t i = 0; i < kServeStages; ++i) {
+      if (!stage_ran[i]) continue;
+      const double wall_ms =
+          static_cast<double>(stage_ns[i].load(std::memory_order_relaxed)) /
+          1e6;
+      stage_obj.add(kServeStageNames[i], wall_ms);
+      result.stats.stages.emplace_back(kServeStageNames[i], wall_ms);
+    }
     body.raw("stages", stage_obj.str());
-    body.add("t_total_ms", ms_since(start));
-    QueryResult result{body.str(), std::move(payload), {}};
+    body.add("t_total_ms",
+             std::chrono::duration<double, std::milli>(Clock::now() - start)
+                 .count());
+    result.json = body.str();
     result.stats.op = op;
     result.stats.trace_id = trace_id;
-    result.stats.stages = stages;
     result.stats.chunks_total = chunks_total;
     result.stats.chunks_scanned = chunks_scanned;
     result.stats.chunks_decoded = chunks_decoded;
@@ -447,8 +449,7 @@ QueryResult QueryEngine::op_preselect(RequestContext& ctx) {
       catalog_->db(), ctx.signals, ctx.rate_threshold_hz, scan_mode_);
   dataflow::Table kpre(tracefile::kb_schema());
   {
-    const RequestContext::StageTimer timer(ctx, "scan");
-    OBS_SPAN("serve.scan");
+    OBS_SPAN("serve.scan", ctx.stage(ServeStage::Scan));
     const colstore::ChunkCursor cursor(cached_source(ctx, entry),
                                        ctx.scan_predicate(pipeline.urel()),
                                        {.mode = scan_mode_});
@@ -459,7 +460,7 @@ QueryResult QueryEngine::op_preselect(RequestContext& ctx) {
   }
   std::string payload;
   {
-    const RequestContext::StageTimer timer(ctx, "serialize");
+    OBS_SPAN("serve.serialize", ctx.stage(ServeStage::Serialize));
     payload = render_csv(kpre);
   }
   ctx.rows = kpre.num_rows();
@@ -479,20 +480,21 @@ QueryResult QueryEngine::op_extract(RequestContext& ctx) {
   dataflow::Table ks(core::ks_schema());
   {
     OBS_SPAN("serve.extract");
+    // "scan" is the processor's preselect (chunk fetch, decode, row
+    // filter).
     const core::MorselProcessor processor(
         cached_source(ctx, entry), ctx.scan_predicate(pipeline.urel()),
-        pipeline.urel(), pipeline.config(), nullptr);
+        pipeline.urel(), pipeline.config(), nullptr,
+        {.preselect = ctx.stage(ServeStage::Scan),
+         .interpret = ctx.stage(ServeStage::Interpret)});
     for (std::size_t k = 0; k < processor.num_morsels(); ++k) {
       ks.add_partition(processor.extract(k));
     }
     note_scan(ctx, processor.stats());
-    const core::MorselTimes times = processor.times();
-    ctx.stages.emplace_back("scan", ns_to_ms(times.preselect_ns));
-    ctx.stages.emplace_back("interpret", ns_to_ms(times.interpret_ns));
   }
   std::string payload;
   {
-    const RequestContext::StageTimer timer(ctx, "serialize");
+    OBS_SPAN("serve.serialize", ctx.stage(ServeStage::Serialize));
     payload = render_csv(ks);
   }
   ctx.rows = ks.num_rows();
@@ -520,6 +522,7 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
   for (const std::string& s : sorted) key += "|" + s;
 
   if (std::shared_ptr<const StateEntry> hit = state_cache_.get(key)) {
+    ctx.state_cache_hit = true;
     return hit;
   }
 
@@ -530,22 +533,23 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
   const core::Pipeline pipeline = make_pipeline(
       catalog_->db(), ctx.signals, ctx.rate_threshold_hz, scan_mode_);
   auto built = std::make_shared<StateEntry>();
+  std::uint64_t scan_ns = 0;
   {
-    const Clock::time_point start = Clock::now();
-    OBS_SPAN("serve.pipeline");
+    OBS_SPAN("serve.pipeline", ctx.stage(ServeStage::Pipeline));
     dataflow::Engine engine = make_inline_engine();
     colstore::ScanStats scan;
     core::PipelineResult result =
         pipeline.run(engine, cached_source(ctx, entry), &scan);
     note_scan(ctx, scan);
-    // "scan" is the executor's preselect stage (chunk fetch, decode, row
-    // filter); "pipeline" is the rest of the build.
-    const double scan_ms = stage_ms(result, "preselect");
-    ctx.stages.emplace_back("scan", scan_ms);
-    ctx.stages.emplace_back("pipeline", ms_since(start) - scan_ms);
+    scan_ns = result.stage_times.front().wall_ns;  // preselect
     built->state = std::move(result.state);
     built->krep = std::move(result.krep);
   }
+  // "scan" is the executor's preselect stage (chunk fetch, decode, row
+  // filter); "pipeline" is the rest of the build.
+  ctx.stage(ServeStage::Scan)->fetch_add(scan_ns, std::memory_order_relaxed);
+  ctx.stage(ServeStage::Pipeline)
+      ->fetch_sub(scan_ns, std::memory_order_relaxed);
   state_cache_.put(key, built,
                    approx_table_bytes(built->state) +
                        approx_table_bytes(built->krep));
@@ -554,17 +558,14 @@ std::shared_ptr<const StateEntry> QueryEngine::state_entry(
 
 QueryResult QueryEngine::op_state(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const std::uint64_t hits_before = state_cache_stats().hits;
   const std::shared_ptr<const StateEntry> cached = state_entry(ctx, entry);
-  const bool was_hit = state_cache_stats().hits > hits_before;
-  ctx.state_cache_hit = was_hit;
 
   // Slice lazily: the common full-table query serializes straight from
   // the cached table without copying it.
   const dataflow::Table* result = &cached->state;
   dataflow::Table sliced;
   {
-    const RequestContext::StageTimer timer(ctx, "slice");
+    OBS_SPAN("serve.slice", ctx.stage(ServeStage::Slice));
     dataflow::Engine engine = make_inline_engine();
     if (ctx.has_time_range()) {
       const std::size_t t_col = result->schema().require("t");
@@ -597,31 +598,27 @@ QueryResult QueryEngine::op_state(RequestContext& ctx) {
   }
   std::string payload;
   {
-    const RequestContext::StageTimer timer(ctx, "serialize");
+    OBS_SPAN("serve.serialize", ctx.stage(ServeStage::Serialize));
     payload = render_csv(*result);
   }
   ctx.rows = result->num_rows();
   json::Object body = ctx.base();
   body.add("rows", static_cast<std::uint64_t>(result->num_rows()))
       .add("columns", static_cast<std::uint64_t>(result->schema().size()))
-      .add("cached", was_hit)
+      .add("cached", ctx.state_cache_hit)
       .add("payload_format", "csv");
   return ctx.finish(body, std::move(payload));
 }
 
 QueryResult QueryEngine::op_mine(RequestContext& ctx) {
   const TraceEntry& entry = catalog_->require(ctx.trace);
-  const std::uint64_t hits_before = state_cache_stats().hits;
   const std::shared_ptr<const StateEntry> cached = state_entry(ctx, entry);
-  const bool was_hit = state_cache_stats().hits > hits_before;
-  ctx.state_cache_hit = was_hit;
 
   apps::AnomalyConfig config;
   config.top_k = static_cast<std::size_t>(std::max<std::int64_t>(ctx.top_k, 0));
   std::vector<apps::Anomaly> anomalies;
   {
-    const RequestContext::StageTimer timer(ctx, "mine");
-    OBS_SPAN("serve.mine");
+    OBS_SPAN("serve.mine", ctx.stage(ServeStage::Mine));
     anomalies = apps::detect_element_anomalies(cached->krep, config);
   }
   std::string array = "[";
@@ -640,7 +637,7 @@ QueryResult QueryEngine::op_mine(RequestContext& ctx) {
   ctx.rows = anomalies.size();
   json::Object body = ctx.base();
   body.add("count", static_cast<std::uint64_t>(anomalies.size()))
-      .add("cached", was_hit)
+      .add("cached", ctx.state_cache_hit)
       .raw("anomalies", array);
   return ctx.finish(body);
 }

@@ -182,7 +182,8 @@ class QueryEngine {
   /// Fold one scan's statistics into the request and the daemon totals.
   void note_scan(RequestContext& ctx, const colstore::ScanStats& stats);
 
-  /// Tier-2 lookup / build of the state representation.
+  /// Tier-2 lookup / build of the state representation; sets
+  /// ctx.state_cache_hit when this lookup hit.
   std::shared_ptr<const StateEntry> state_entry(RequestContext& ctx,
                                                 const TraceEntry& entry);
 

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "colstore/columnar_writer.hpp"
+#include "obs/span.hpp"
+#include "simnet/datasets.hpp"
 #include "test_fixtures.hpp"
 
 namespace ivt::core {
@@ -196,6 +199,47 @@ TEST_F(PipelineTest, ReportsCountOutliersAndExtensions) {
     EXPECT_GT(report.input_rows, 0u);
     EXPECT_GT(report.extension_rows, 0u);  // gap rule applies everywhere
     EXPECT_LE(report.reduced_rows, report.input_rows);
+  }
+}
+
+// The span is the stage clock: each reported stage time is exactly the
+// summed duration of the spans that timed that stage.
+TEST_F(PipelineTest, StageTotalsEqualSpanSums) {
+  simnet::DatasetConfig data;
+  data.scale = 0.0005;
+  data.seed = 11;
+  const simnet::Dataset syn = simnet::make_syn_dataset(data);
+  const auto reader = colstore::open_trace(syn.trace, {.chunk_rows = 1024});
+  const Pipeline pipeline(syn.catalog, PipelineConfig{});
+  dataflow::Engine engine{{.workers = 3}};
+
+  obs::reset_spans();
+  const PipelineResult result = pipeline.run(engine, reader);
+  ASSERT_EQ(obs::dropped_span_count(), 0u);
+
+  const std::map<std::string, std::string> stage_of = {
+      {"pipeline.preselect", "preselect"},
+      {"pipeline.interpret", "interpret"},
+      {"pipeline.bucket", "split"},
+      {"pipeline.split", "split"},
+      {"sequence.reduce", "reduce"},
+      {"sequence.extend", "extend"},
+      {"sequence.classify", "classify"},
+      {"branch.alpha", "branch"},
+      {"branch.beta", "branch"},
+      {"branch.gamma", "branch"},
+      {"pipeline.merge", "merge"},
+      {"pipeline.state_repr", "state_repr"}};
+  std::map<std::string, std::uint64_t> span_ns;
+  for (const obs::SpanEvent& span : obs::collect_spans()) {
+    if (const auto it = stage_of.find(span.name); it != stage_of.end()) {
+      span_ns[it->second] += static_cast<std::uint64_t>(span.dur_ns);
+    }
+  }
+  ASSERT_EQ(result.stage_times.size(), 9u);
+  for (const StageTiming& st : result.stage_times) {
+    EXPECT_EQ(st.wall_ns, span_ns[st.stage]) << st.stage;
+    EXPECT_GT(st.wall_ns, 0u) << st.stage;
   }
 }
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace ivt::dataflow {
 namespace {
@@ -65,6 +69,16 @@ TEST(EngineTest, ParallelForRethrowsTaskException) {
 }
 
 TEST(EngineTest, MapPartitionsRecordsMetrics) {
+  // A stage is one `engine.<stage>` span over one `engine.task` span per
+  // partition; its duration is also the stage's wall-time observation.
+  const auto snapshot = [] { return obs::Registry::instance().snapshot(); };
+  const auto wall_count = [](const obs::MetricsSnapshot& s) {
+    const obs::MetricsSnapshot::Entry* e = s.find("engine.stage_wall_ms");
+    return e == nullptr ? std::uint64_t{0} : e->hist.count;
+  };
+  const obs::MetricsSnapshot before = snapshot();
+  obs::reset_spans();
+
   Engine e{EngineConfig{.workers = 2}};
   Schema schema{{{"v", ValueType::Int64}}};
   TableBuilder b(schema, 2);
@@ -80,20 +94,24 @@ TEST(EngineTest, MapPartitionsRecordsMetrics) {
         return q;
       });
   EXPECT_EQ(out.num_rows(), 6u);
-  const auto metrics = e.metrics();
-  ASSERT_EQ(metrics.size(), 1u);
-  EXPECT_EQ(metrics[0].name, "double");
-  EXPECT_EQ(metrics[0].tasks, 3u);
-  EXPECT_EQ(metrics[0].input_rows, 6u);
-  EXPECT_EQ(metrics[0].output_rows, 6u);
-}
 
-TEST(EngineTest, ClearMetrics) {
-  Engine e{EngineConfig{.workers = 1}};
-  e.record_stage({"x", 1, 0, 0, 0.0});
-  EXPECT_EQ(e.metrics().size(), 1u);
-  e.clear_metrics();
-  EXPECT_TRUE(e.metrics().empty());
+  std::size_t stages = 0;
+  std::size_t tasks = 0;
+  for (const obs::SpanEvent& span : obs::collect_spans()) {
+    if (std::strcmp(span.name, "engine.double") == 0) {
+      ++stages;
+      EXPECT_EQ(span.rows, 6u);
+    }
+    tasks += std::strcmp(span.name, "engine.task") == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(stages, 1u);
+  EXPECT_EQ(tasks, 3u);
+  const obs::MetricsSnapshot after = snapshot();
+  EXPECT_EQ(after.counter_or("engine.stages", 0),
+            before.counter_or("engine.stages", 0) + 1);
+  EXPECT_EQ(after.counter_or("engine.tasks", 0),
+            before.counter_or("engine.tasks", 0) + 3);
+  EXPECT_EQ(wall_count(after), wall_count(before) + 1);
 }
 
 TEST(EngineTest, MapPartitionsPreservesPartitionIndexOrder) {

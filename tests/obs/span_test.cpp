@@ -94,15 +94,23 @@ TEST(SpanTest, SpansFromMultipleThreadsGetDistinctTids) {
   EXPECT_NE(spans[0].tid, spans[1].tid);
 }
 
-TEST(SpanTest, DisablingTracingSuppressesRecording) {
+TEST(SpanTest, SpansAddTheirRecordedDurationToTheirTotal) {
   reset_spans();
-  set_tracing_enabled(false);
-  { SpanScope s("test.suppressed"); }
-  set_tracing_enabled(true);
-  { SpanScope s("test.recorded"); }
-  const std::vector<SpanEvent> spans = collect_spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "test.recorded");
+  SpanTotal total{0};
+  {
+    OBS_SPAN("test.outer", &total);
+    OBS_SPAN_V(inner, "test.inner", &total);
+    inner.set_rows(1);
+  }
+  { SpanScope untimed("test.untimed"); }
+  std::uint64_t recorded = 0;
+  for (const SpanEvent& e : collect_spans()) {
+    if (std::string(e.name) != "test.untimed") {
+      recorded += static_cast<std::uint64_t>(e.dur_ns);
+    }
+  }
+  EXPECT_EQ(total.load(), recorded);
+  EXPECT_EQ(collect_spans().size(), 3u);
 }
 
 TEST(SpanTest, LongNamesAreTruncatedNotOverrun) {

@@ -284,6 +284,42 @@ TEST_F(ServerTest, WarmStateQueriesDecodeNoChunks) {
   EXPECT_EQ(chunks_decoded_now(client), decoded_before);
 }
 
+// "cached" is this request's own state-cache lookup: a warm request on
+// another key landing while a cold build runs must not flip it.
+TEST_F(ServerTest, ColdBuildStaysUncachedWhileAnotherKeyHits) {
+  ServerConfig config;
+  config.workers = 2;
+  const auto server = make_server(config);
+  Client warm_client(server->host(), server->port());
+  const std::string warm_request = R"({"op":"state","trace":"syn"})";
+  ASSERT_TRUE(warm_client.request(warm_request).ok());
+
+  // Every sequence of a build stalls 200 ms, pinning the cold build.
+  const std::uint64_t stalls_before = faultfx::triggered("pipeline.sequence");
+  ASSERT_EQ(faultfx::arm("pipeline.sequence:delay:1:delay_us=200000"), 1u);
+  ClientResponse cold;
+  std::thread cold_build([&] {
+    Client client(server->host(), server->port());
+    cold = client.request(
+        R"({"op":"state","trace":"syn","signals":["SYN_s0","SYN_s1"]})");
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (faultfx::triggered("pipeline.sequence") == stalls_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(faultfx::triggered("pipeline.sequence"), stalls_before);
+  const ClientResponse warm = warm_client.request(warm_request);
+  cold_build.join();
+  faultfx::disarm_all();
+
+  ASSERT_TRUE(warm.ok()) << warm.error_message();
+  EXPECT_TRUE(warm.body.get_bool("cached", false));
+  ASSERT_TRUE(cold.ok()) << cold.error_message();
+  EXPECT_FALSE(cold.body.get_bool("cached", true));
+}
+
 TEST_F(ServerTest, ConcurrentClientsAgree) {
   const auto server = make_server();
   constexpr int kClients = 8;

@@ -18,7 +18,7 @@ namespace {
 //   k_obs_ThreadRing_mutex  level 30
 //   k_obs_Registry_mutex_   level 40
 // and two distinct locks sharing level 10:
-//   k_core_Shard_mu, k_dataflow_ThreadPool_mutex_
+//   k_errors_FailureLog_mutex_, k_dataflow_ThreadPool_mutex_
 
 TEST(LockRankTest, RankedConstructionAndLevels) {
   EXPECT_EQ(lock_rank_level(LockRank::kUnranked), 0u);
@@ -26,9 +26,10 @@ TEST(LockRankTest, RankedConstructionAndLevels) {
   EXPECT_EQ(lock_rank_level(LockRank::k_obs_ThreadRing_mutex), 30u);
   EXPECT_EQ(lock_rank_level(LockRank::k_obs_Registry_mutex_), 40u);
   // Same level, distinct constants (the low byte disambiguates).
-  EXPECT_EQ(lock_rank_level(LockRank::k_core_Shard_mu), 10u);
+  EXPECT_EQ(lock_rank_level(LockRank::k_errors_FailureLog_mutex_), 10u);
   EXPECT_EQ(lock_rank_level(LockRank::k_dataflow_ThreadPool_mutex_), 10u);
-  EXPECT_NE(LockRank::k_core_Shard_mu, LockRank::k_dataflow_ThreadPool_mutex_);
+  EXPECT_NE(LockRank::k_errors_FailureLog_mutex_,
+            LockRank::k_dataflow_ThreadPool_mutex_);
 }
 
 TEST(LockRankTest, InOrderAcquisitionSucceeds) {
@@ -77,7 +78,7 @@ TEST(LockRankDeathTest, EqualLevelAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Strict monotonicity: two level-10 locks may never nest, in either
   // order — that is exactly the ordering the static graph cannot prove.
-  Mutex a{LockRank::k_core_Shard_mu};
+  Mutex a{LockRank::k_errors_FailureLog_mutex_};
   Mutex b{LockRank::k_dataflow_ThreadPool_mutex_};
   EXPECT_DEATH(
       {
